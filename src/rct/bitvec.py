@@ -176,5 +176,7 @@ class BitVector:
         (n,) = struct.unpack_from("<Q", data, offset)
         offset += 8
         nwords = (n + _WORD - 1) // _WORD
+        if offset + 8 * nwords > len(data):
+            raise ValueError(f"bitvector of {n} bits runs past the end of the data")
         words = list(struct.unpack_from(f"<{nwords}Q", data, offset))
         return cls._from_words(n, words), offset + 8 * nwords

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .k2tree import build_snapshot
 from .reference import build_reference
-from .rlz import ReferenceMatcher, TrajectoryLog, build_log
+from .rlz import PhraseTable, ReferenceMatcher, TrajectoryLog, build_log
 
 
 class NotFittedError(RuntimeError):
@@ -115,28 +116,61 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+# Ids, timestamps and coordinates are stored in 64-bit columns.
+_VALUE_LIMIT = 1 << 63
+
+
+def _grid_point(object_id: int, t: int, point) -> tuple[int, int]:
+    """`point` as plain ints, or a ValueError naming the object and timestamp."""
+    x, y = point
+    where = f"object {object_id} at timestamp {t}: position ({x}, {y})"
+    try:
+        px, py = operator.index(x), operator.index(y)
+    except TypeError:
+        raise ValueError(f"{where} off the integer grid") from None
+    if px < 0 or py < 0:
+        raise ValueError(f"{where} off the integer grid")
+    if px >= _VALUE_LIMIT or py >= _VALUE_LIMIT:
+        raise ValueError(f"{where} does not fit a 64-bit column")
+    return px, py
+
+
 def validate_trajectories(trajectories: Iterable[Trajectory]) -> list[Trajectory]:
-    """Check ids, coordinates and shapes before building; returns a list."""
-    trajs = list(trajectories)
+    """Check ids, coordinates and shapes before building; returns a list.
+
+    Integers of any type `operator.index` accepts, numpy's included, come
+    back as plain ints, in copies of the trajectories holding them.  Ids,
+    timestamps and coordinates must lie in [0, 2**63).
+    """
+    trajs = []
+    seen: set[int] = set()
+    for tr in trajectories:
+        try:
+            oid, start = operator.index(tr.object_id), operator.index(tr.start_time)
+        except TypeError:
+            raise ValueError(
+                f"object id {tr.object_id!r} and start time {tr.start_time!r} must be integers"
+            ) from None
+        if oid in seen:
+            raise ValueError(f"duplicate object id {oid}")
+        seen.add(oid)
+        if not 0 <= oid < _VALUE_LIMIT:
+            raise ValueError(f"object id {oid} must be non-negative and fit a 64-bit column")
+        if start < 0:
+            raise ValueError(f"object {oid}: start time {start} is negative")
+        if not tr.positions:
+            raise ValueError(f"object {oid}: no positions")
+        if start + len(tr.positions) > _VALUE_LIMIT:
+            raise ValueError(f"object {oid}: timestamps do not fit a 64-bit column")
+        positions = tr.positions
+        if not all(type(x) is int and type(y) is int and 0 <= x < _VALUE_LIMIT and 0 <= y < _VALUE_LIMIT
+                   for x, y in positions):
+            positions = [_grid_point(oid, start + k, p) for k, p in enumerate(positions)]
+        if positions is not tr.positions or type(tr.object_id) is not int or type(tr.start_time) is not int:
+            tr = replace(tr, object_id=oid, start_time=start, positions=positions)
+        trajs.append(tr)
     if not trajs:
         raise ValueError("cannot build an index from an empty dataset")
-    seen: set[int] = set()
-    for tr in trajs:
-        if tr.object_id in seen:
-            raise ValueError(f"duplicate object id {tr.object_id}")
-        seen.add(tr.object_id)
-        if tr.object_id < 0:
-            raise ValueError(f"object id {tr.object_id} must be non-negative")
-        if tr.start_time < 0:
-            raise ValueError(f"object {tr.object_id}: start time {tr.start_time} is negative")
-        if not tr.positions:
-            raise ValueError(f"object {tr.object_id}: no positions")
-        for k, (x, y) in enumerate(tr.positions):
-            if not (isinstance(x, int) and isinstance(y, int)) or x < 0 or y < 0:
-                raise ValueError(
-                    f"object {tr.object_id} at timestamp {tr.start_time + k}: "
-                    f"position ({x}, {y}) off the integer grid"
-                )
     return trajs
 
 
@@ -214,10 +248,12 @@ class RCTIndex:
 
         reference = build_reference(sequences, frac, self.block_length)
         matcher = ReferenceMatcher(reference.ids)
+        phrases = PhraseTable()
         logs = {
-            tr.object_id: build_log(tr.object_id, tr.start_time, tr.positions, reference, matcher)
+            tr.object_id: build_log(tr.object_id, tr.start_time, tr.positions, reference, matcher, phrases)
             for tr in trajs
         }
+        phrases.seal()
 
         t_max = max(tr.end_time for tr in trajs)
         by_id = {tr.object_id: tr for tr in trajs}
@@ -238,21 +274,19 @@ class RCTIndex:
         for ids in appearances.values():
             ids.sort()
 
-        self.grid_ = (max_x, max_y)
-        self.max_speed_ = speed
-        self.t_max_ = t_max
-        self.reference_ = reference
-        self.logs_ = logs
-        self.snapshots_ = snapshots
-        self.appearances_ = appearances
+        self._adopt((max_x, max_y), speed, t_max, reference, phrases, logs, snapshots, appearances)
         return self
 
-    def _adopt(self, grid, max_speed, t_max, reference, logs, snapshots, appearances) -> None:
-        """Install fitted state directly (deserialization path)."""
+    def _adopt(self, grid, max_speed, t_max, reference, phrases, logs, snapshots, appearances) -> None:
+        """Install fitted state, built by fit or read by load_index.
+
+        `phrases` is the PhraseTable every log's rows live in, in the order of `logs`.
+        """
         self.grid_ = grid
         self.max_speed_ = max_speed
         self.t_max_ = t_max
         self.reference_ = reference
+        self.phrases_ = phrases
         self.logs_ = logs
         self.snapshots_ = snapshots
         self.appearances_ = appearances
@@ -296,14 +330,16 @@ class RCTIndex:
         out = [(a, x, y)]
         first = a - log.start_time + 1
         marks = log.phrase_marks
-        j = rs = 0
+        starts = log.table.starts
+        row = rs = 0
         for off in range(first, b - log.start_time + 1):
             if off == first:
                 j = log.phrase_of(off)
-                rs = log.phrase_starts[j - 1] + (off - log.phrase_first(j))
+                row = log.base + j - 1
+                rs = starts[row] + (off - log.phrase_first(j))
             elif marks.access(off):
-                j += 1
-                rs = log.phrase_starts[j - 1]
+                row += 1
+                rs = starts[row]
             dx, dy = ref.step(rs)
             x += dx
             y += dy
@@ -312,7 +348,11 @@ class RCTIndex:
         return out
 
     def _slice_candidates(self, region: Region, t: int) -> set[int]:
-        """Ids that could be inside `region` at t: snapshot hits plus mid-period arrivals."""
+        """Ids that could be inside `region` at any time from t's snapshot up to t.
+
+        Snapshot hits in the region grown by the distance an object can
+        cover since the snapshot, plus the period's mid-period arrivals.
+        """
         if self._off_grid(region):
             return set()
         q = t // self.period
@@ -354,10 +394,8 @@ class RCTIndex:
         for q in range(a // self.period, b // self.period + 1):
             sub_a = max(a, q * self.period)
             sub_b = min(b, (q + 1) * self.period - 1)
-            expanded = region.expanded(self.max_speed_ * (sub_b - q * self.period), self.grid_)
-            candidates = {oid for oid, _, _ in self.snapshots_[q].report_region(expanded)}
-            candidates.update(self.appearances_.get(q, ()))
-            for oid in sorted(candidates):
+            # objects inside at some t in [sub_a, sub_b] are candidates at sub_b
+            for oid in sorted(self._slice_candidates(region, sub_b)):
                 if oid in found:
                     continue
                 if self._hits_region_during(self.logs_[oid], region, sub_a, sub_b):
@@ -413,16 +451,17 @@ class RCTIndex:
 
     def _scan_movements(self, log: TrajectoryLog, region: Region, lo: int, hi: int) -> bool:
         """Check movement offsets [lo, hi], chunked per phrase, on the reference."""
+        table = log.table
         j = log.phrase_of(lo)
         while True:
             first = log.phrase_first(j)
             last = log.phrase_last(j)
             u = max(lo, first)
             v = min(hi, last)
-            start = log.phrase_starts[j - 1]
-            px, py = log.prev_positions[j - 1]
+            row = log.base + j - 1
+            start = table.starts[row]
             dx, dy = self.reference_.movement(start - 1, start - 1 + (u - first))
-            base = (px + dx, py + dy)
+            base = (table.prev_x[row] + dx, table.prev_y[row] + dy)
             ri = start + (u - first)
             rj = start + (v - first)
             if self._check_reference(region, base, ri, rj):
@@ -450,10 +489,11 @@ class RCTIndex:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, target) -> None:
+    def save(self, target) -> int:
+        """Write the index file; returns the number of bytes written."""
         from .serialize import save_index
 
-        save_index(self, target)
+        return save_index(self, target)
 
     @classmethod
     def load(cls, source) -> "RCTIndex":

@@ -6,6 +6,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .bitvec import BitVector
+from .rmq import compact
 
 
 class Snapshot:
@@ -35,9 +36,9 @@ class Snapshot:
         self.tree_bits = tree_bits
         self.leaf_bits = leaf_bits
         self.run_starts = run_starts
-        self.cell_ids = list(cell_ids)
+        self.cell_ids = cell_ids
 
-    def _ids_at(self, ordinal: int) -> list[int]:
+    def _ids_at(self, ordinal: int) -> Sequence[int]:
         """Ids of the `ordinal`-th occupied cell (1-based, traversal order)."""
         start = self.run_starts.select1(ordinal) - 1
         if ordinal < self.run_starts.ones:
@@ -84,6 +85,14 @@ class Snapshot:
         return out
 
 
+def grid_side(grid: tuple[int, int], k: int) -> int:
+    """Side of the k2-tree square over [0, max_x] x [0, max_y]: a power of k."""
+    side = k
+    while side < max(grid) + 1:
+        side *= k
+    return side
+
+
 def build_snapshot(
     points: Iterable[tuple[int, int, int]],
     grid: tuple[int, int],
@@ -107,10 +116,7 @@ def build_snapshot(
             raise ValueError(f"duplicate object id {oid} in snapshot")
         seen_ids.add(oid)
 
-    side = k
-    while side < max(max_x, max_y) + 1:
-        side *= k
-
+    side = grid_side(grid, k)
     tree_bits: list[int] = []
     leaf_bits: list[int] = []
     run_starts: list[int] = []
@@ -142,5 +148,5 @@ def build_snapshot(
         BitVector(tree_bits),
         BitVector(leaf_bits),
         BitVector(run_starts),
-        cell_ids,
+        compact(cell_ids),
     )

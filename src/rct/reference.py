@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitvec import BitVector
-from .rmq import MAX, MIN, RangeExtremumIndex
+from .rmq import MAX, MIN, RangeExtremumIndex, compact
 
 MovementSymbol = tuple[int, int]  # (dx, dy) displacement of one timestep
 MovementSequence = Sequence[MovementSymbol]
@@ -21,101 +22,63 @@ class RelativeMBB(NamedTuple):
     y_max: int
 
 
-class ExtremaIndex:
-    """Sampled local extrema of one cumulative coordinate of the reference.
-
-    `marks` has a 1 at every interior step where the coordinate turns through
-    a valley (MIN mode) or a peak (MAX mode); `extremum` ranks the coordinate
-    values at the marked steps.  Boundary steps are never marked: range
-    queries always compare both boundary values explicitly.
-    """
-
-    __slots__ = ("mode", "marks", "extremum")
-
-    def __init__(self, cumulative: Sequence[int], mode: str):
-        steps = len(cumulative) - 1
-        bits = [0] * steps
-        values = []
-        if mode == MIN:
-            turns = lambda a, b, c: b < a and b <= c
-        else:
-            turns = lambda a, b, c: b > a and b >= c
-        for t in range(2, steps):
-            if turns(cumulative[t - 1], cumulative[t], cumulative[t + 1]):
-                bits[t - 1] = 1
-                values.append(cumulative[t])
-        self.mode = mode
-        self.marks = BitVector(bits)
-        self.extremum: Optional[RangeExtremumIndex] = (
-            RangeExtremumIndex(values, mode) if values else None
-        )
-
-    def candidate_step(self, i: int, j: int) -> Optional[int]:
-        """A step in [i..j] holding the extremum among marked steps, if any."""
-        first = self.marks.rank1(i - 1) + 1
-        last = self.marks.rank1(j)
-        if first > last or self.extremum is None:
-            return None
-        return self.marks.select1(self.extremum.query(first, last))
+def _cumulative(steps: list[int], ids: Sequence[int]):
+    """0 followed by the running sum of steps[ids[0]], steps[ids[1]], ..."""
+    return compact(list(accumulate(map(steps.__getitem__, ids), initial=0)))
 
 
-def _unary_append(bits: list[int], magnitude: int) -> None:
-    bits.extend([0] * magnitude)
-    bits.append(1)
+def _unary_view(plane: int, doc: str) -> property:
+    return property(lambda self: self._unary_bitmaps()[plane], doc=doc)
 
 
 class Reference:
     """Artificial movement sequence plus the overlays answering movement and mbb.
 
-    Per-step displacements are unary-coded into four bitmaps, one per axis
-    and sign; each bitmap carries exactly one terminating 1 per step, so the
-    cumulative displacement up to step t falls out of a single select each.
+    `cum_x[t]`/`cum_y[t]` are the cumulative displacement after the first t
+    steps (`cum[0] = 0`), so `movement` is four lookups, and `mbb` is a
+    range minimum and maximum per axis, from one RangeExtremumIndex each,
+    minus `cum[i-1]`.  The paper's unary bitmaps `x_pos`, `x_neg`, `y_pos`
+    and `y_neg` (per step, its magnitude on that axis and sign in zeros,
+    then a 1) are derived on first access; no query reads them.
     """
 
     __slots__ = (
         "alphabet",
         "ids",
-        "x_pos",
-        "x_neg",
-        "y_pos",
-        "y_neg",
-        "x_min_idx",
-        "x_max_idx",
-        "y_min_idx",
-        "y_max_idx",
+        "cum_x",
+        "cum_y",
+        "_x_min",
+        "_x_max",
+        "_y_min",
+        "_y_max",
         "_sym_id",
+        "_bitmaps",
     )
 
     def __init__(self, symbols: MovementSequence):
         symbols = list(symbols)
-        self.alphabet: list[MovementSymbol] = sorted(set(symbols))
-        self._sym_id = {s: i for i, s in enumerate(self.alphabet)}
-        self.ids = [self._sym_id[s] for s in symbols]
-        xp: list[int] = []
-        xn: list[int] = []
-        yp: list[int] = []
-        yn: list[int] = []
-        cum_x = [0]
-        cum_y = [0]
-        for dx, dy in symbols:
-            _unary_append(xp, max(dx, 0))
-            _unary_append(xn, max(-dx, 0))
-            _unary_append(yp, max(dy, 0))
-            _unary_append(yn, max(-dy, 0))
-            cum_x.append(cum_x[-1] + dx)
-            cum_y.append(cum_y[-1] + dy)
-        self.x_pos = BitVector(xp)
-        self.x_neg = BitVector(xn)
-        self.y_pos = BitVector(yp)
-        self.y_neg = BitVector(yn)
-        self.x_min_idx = ExtremaIndex(cum_x, MIN)
-        self.x_max_idx = ExtremaIndex(cum_x, MAX)
-        self.y_min_idx = ExtremaIndex(cum_y, MIN)
-        self.y_max_idx = ExtremaIndex(cum_y, MAX)
+        alphabet = sorted(set(symbols))
+        sym_id = {s: i for i, s in enumerate(alphabet)}
+        self._install(alphabet, compact([sym_id[s] for s in symbols]))
 
     @classmethod
-    def from_parts(cls, alphabet: list[MovementSymbol], ids: list[int]) -> "Reference":
-        return cls([alphabet[i] for i in ids])
+    def from_parts(cls, alphabet: list[MovementSymbol], ids: Sequence[int]) -> "Reference":
+        """The reference whose step t is `alphabet[ids[t - 1]]`; `ids` is kept as given."""
+        ref = cls.__new__(cls)
+        ref._install(list(alphabet), ids)
+        return ref
+
+    def _install(self, alphabet: list[MovementSymbol], ids: Sequence[int]) -> None:
+        self.alphabet = alphabet
+        self._sym_id = {s: i for i, s in enumerate(alphabet)}
+        self.ids = ids
+        self._bitmaps = None
+        self.cum_x = _cumulative([dx for dx, _ in alphabet], ids)
+        self.cum_y = _cumulative([dy for _, dy in alphabet], ids)
+        self._x_min = RangeExtremumIndex(self.cum_x, MIN)
+        self._x_max = RangeExtremumIndex(self.cum_x, MAX)
+        self._y_min = RangeExtremumIndex(self.cum_y, MIN)
+        self._y_max = RangeExtremumIndex(self.cum_y, MAX)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -130,56 +93,48 @@ class Reference:
         """Displacement of reference step t, 1-based."""
         return self.alphabet[self.ids[t - 1]]
 
-    @staticmethod
-    def _delta(bitmap: BitVector, t: int) -> int:
-        """Zeros before the t-th one: total magnitude of the first t steps."""
-        return bitmap.select1(t) - t if t else 0
-
-    def _axis_delta(self, pos: BitVector, neg: BitVector, i: int, j: int) -> int:
-        return (
-            self._delta(pos, j)
-            - self._delta(pos, i)
-            - self._delta(neg, j)
-            + self._delta(neg, i)
-        )
-
     def movement(self, i: int, j: int) -> tuple[int, int]:
         """Cumulative displacement over reference steps i+1..j, 0 <= i <= j <= m."""
         if not 0 <= i <= j <= len(self.ids):
             raise ValueError(f"invalid step range ({i}, {j}) for reference of length {len(self.ids)}")
-        if i == j:
-            return (0, 0)
-        return (
-            self._axis_delta(self.x_pos, self.x_neg, i, j),
-            self._axis_delta(self.y_pos, self.y_neg, i, j),
-        )
+        cx, cy = self.cum_x, self.cum_y
+        return (cx[j] - cx[i], cy[j] - cy[i])
 
     def mbb(self, i: int, j: int) -> RelativeMBB:
         """Per-axis extrema of movement(i-1, t) over t in [i..j].
 
-        Each bound comes from the two boundary values plus, when the range
-        holds a sampled extremum, the single candidate step the extremum
-        index nominates.
+        Row t of the cumulative arrays is position t + 1 of their extremum
+        indexes, so steps i..j are the range [i + 1, j + 1].
         """
         if not 1 <= i <= j <= len(self.ids):
             raise ValueError(f"invalid mbb range ({i}, {j}) for reference of length {len(self.ids)}")
-
-        def axis_bound(pos, neg, idx, pick):
-            bounds = [
-                self._axis_delta(pos, neg, i - 1, i),
-                self._axis_delta(pos, neg, i - 1, j),
-            ]
-            t = idx.candidate_step(i, j)
-            if t is not None:
-                bounds.append(self._axis_delta(pos, neg, i - 1, t))
-            return pick(bounds)
-
+        cx, cy = self.cum_x, self.cum_y
+        bx, by = cx[i - 1], cy[i - 1]
+        a, b = i + 1, j + 1
         return RelativeMBB(
-            x_min=axis_bound(self.x_pos, self.x_neg, self.x_min_idx, min),
-            y_min=axis_bound(self.y_pos, self.y_neg, self.y_min_idx, min),
-            x_max=axis_bound(self.x_pos, self.x_neg, self.x_max_idx, max),
-            y_max=axis_bound(self.y_pos, self.y_neg, self.y_max_idx, max),
+            x_min=cx[self._x_min.query(a, b) - 1] - bx,
+            y_min=cy[self._y_min.query(a, b) - 1] - by,
+            x_max=cx[self._x_max.query(a, b) - 1] - bx,
+            y_max=cy[self._y_max.query(a, b) - 1] - by,
         )
+
+    def _unary_bitmaps(self) -> tuple[BitVector, BitVector, BitVector, BitVector]:
+        bitmaps = self._bitmaps
+        if bitmaps is None:
+            planes: tuple[list[int], ...] = ([], [], [], [])
+            for k in self.ids:
+                dx, dy = self.alphabet[k]
+                for bits, magnitude in zip(planes, (dx, -dx, dy, -dy)):
+                    bits.extend([0] * max(magnitude, 0))
+                    bits.append(1)
+            # built at most once per thread that races here; every copy is equal
+            bitmaps = self._bitmaps = tuple(BitVector(bits) for bits in planes)
+        return bitmaps
+
+    x_pos = _unary_view(0, "Unary code of each step's positive x displacement.")
+    x_neg = _unary_view(1, "Unary code of each step's negative x displacement.")
+    y_pos = _unary_view(2, "Unary code of each step's positive y displacement.")
+    y_neg = _unary_view(3, "Unary code of each step's negative y displacement.")
 
 
 def build_reference(

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from .bitvec import BitVector
 from .reference import Reference
-from .rmq import MAX, MIN, RangeExtremumIndex
+from .rmq import MAX, MIN, RangeExtremumIndex, compact
 
 
 @dataclass(frozen=True)
@@ -119,60 +119,85 @@ def decompress(phrases: Sequence[Phrase], seq: Sequence) -> list:
     return out
 
 
-class TrajectoryLog:
-    """RLZ encoding of one object's movements plus its query overlays.
+class PhraseTable:
+    """Per-phrase columns of many logs, concatenated; each log owns a run of rows.
 
-    `phrase_marks` has a 1 at the first movement of every phrase;
-    `prev_positions[j]` is the absolute position just before phrase j+1
-    starts; the four extrema arrays bound the absolute positions reached
-    during each phrase.
+    Row k describes one phrase: `starts[k]` is its 1-based reference start,
+    `prev_x[k]`/`prev_y[k]` the absolute position just before it, and
+    `x_min[k]`..`y_max[k]` the bounding box of the positions reached during
+    it.  Rows are appended while logs are built; `seal()` then narrows
+    every column to its compact typecode and builds one RangeExtremumIndex
+    per extrema column, which `box` needs.
     """
 
-    __slots__ = (
-        "object_id",
-        "start_time",
-        "start_pos",
-        "phrase_starts",
-        "phrase_marks",
-        "prev_positions",
-        "x_mins",
-        "x_maxs",
-        "y_mins",
-        "y_maxs",
-        "_x_min_idx",
-        "_x_max_idx",
-        "_y_min_idx",
-        "_y_max_idx",
-    )
+    COLUMNS = ("starts", "prev_x", "prev_y", "x_min", "y_min", "x_max", "y_max")
+    __slots__ = COLUMNS + ("_extrema",)
+
+    def __init__(self, columns: Optional[Sequence[Sequence[int]]] = None):
+        """Empty, or sealed over the seven COLUMNS given in order."""
+        for name, column in zip(self.COLUMNS, columns or [[] for _ in self.COLUMNS]):
+            setattr(self, name, column)
+        self._extrema: tuple[RangeExtremumIndex, ...] = ()
+        if columns is not None:
+            self.seal()
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def columns(self) -> list[Sequence[int]]:
+        return [getattr(self, name) for name in self.COLUMNS]
+
+    def append(self, *row: int) -> None:
+        """Add one phrase's row, its values in COLUMNS order."""
+        for column, value in zip(self.columns(), row):
+            column.append(value)
+
+    def seal(self) -> None:
+        for name in self.COLUMNS:
+            setattr(self, name, compact(getattr(self, name)))
+        if len(self):
+            self._extrema = (
+                RangeExtremumIndex(self.x_min, MIN),
+                RangeExtremumIndex(self.y_min, MIN),
+                RangeExtremumIndex(self.x_max, MAX),
+                RangeExtremumIndex(self.y_max, MAX),
+            )
+
+    def box(self, a: int, b: int) -> tuple[int, int, int, int]:
+        """Bounding box of every position reached during rows a..b (1-based, inclusive)."""
+        x_min, y_min, x_max, y_max = self._extrema
+        return (
+            self.x_min[x_min.query(a, b) - 1],
+            self.y_min[y_min.query(a, b) - 1],
+            self.x_max[x_max.query(a, b) - 1],
+            self.y_max[y_max.query(a, b) - 1],
+        )
+
+
+class TrajectoryLog:
+    """RLZ encoding of one object's movements: phrase marks plus rows of a PhraseTable.
+
+    `phrase_marks` has a 1 at the first movement of every phrase; phrase j
+    (1-based) is row `base + j - 1` of `table`.
+    """
+
+    __slots__ = ("object_id", "start_time", "start_pos", "phrase_marks", "table", "base")
 
     def __init__(
         self,
         object_id: int,
         start_time: int,
         start_pos: tuple[int, int],
-        phrase_starts: list[int],
         phrase_marks: BitVector,
-        prev_positions: list[tuple[int, int]],
-        x_mins: list[int],
-        x_maxs: list[int],
-        y_mins: list[int],
-        y_maxs: list[int],
+        table: PhraseTable,
+        base: int,
     ):
         self.object_id = object_id
         self.start_time = start_time
         self.start_pos = start_pos
-        self.phrase_starts = phrase_starts
         self.phrase_marks = phrase_marks
-        self.prev_positions = prev_positions
-        self.x_mins = x_mins
-        self.x_maxs = x_maxs
-        self.y_mins = y_mins
-        self.y_maxs = y_maxs
-        build = lambda vals, mode: RangeExtremumIndex(vals, mode) if vals else None
-        self._x_min_idx = build(x_mins, MIN)
-        self._x_max_idx = build(x_maxs, MAX)
-        self._y_min_idx = build(y_mins, MIN)
-        self._y_max_idx = build(y_maxs, MAX)
+        self.table = table
+        self.base = base
 
     @property
     def move_count(self) -> int:
@@ -180,11 +205,25 @@ class TrajectoryLog:
 
     @property
     def phrase_count(self) -> int:
-        return len(self.phrase_starts)
+        return self.phrase_marks.ones
 
     @property
     def end_time(self) -> int:
         return self.start_time + self.move_count
+
+    def _rows(self, column: Sequence[int]) -> Sequence[int]:
+        return column[self.base : self.base + self.phrase_count]
+
+    # read-only views of this log's rows, for inspection and tests
+    phrase_starts = property(lambda self: self._rows(self.table.starts))
+    x_mins = property(lambda self: self._rows(self.table.x_min))
+    x_maxs = property(lambda self: self._rows(self.table.x_max))
+    y_mins = property(lambda self: self._rows(self.table.y_min))
+    y_maxs = property(lambda self: self._rows(self.table.y_max))
+
+    @property
+    def prev_positions(self) -> list[tuple[int, int]]:
+        return list(zip(self._rows(self.table.prev_x), self._rows(self.table.prev_y)))
 
     def phrase_of(self, offset: int) -> int:
         """1-based phrase index containing movement `offset`."""
@@ -204,19 +243,15 @@ class TrajectoryLog:
             return self.start_pos
         j = self.phrase_of(offset)
         within = offset - self.phrase_first(j)
-        start = self.phrase_starts[j - 1]
+        table = self.table
+        row = self.base + j - 1
+        start = table.starts[row]
         dx, dy = reference.movement(start - 1, start + within)
-        px, py = self.prev_positions[j - 1]
-        return (px + dx, py + dy)
+        return (table.prev_x[row] + dx, table.prev_y[row] + dy)
 
     def phrase_box(self, ws: int, we: int) -> tuple[int, int, int, int]:
         """Bounding box of all positions reached during phrases ws..we (1-based)."""
-        return (
-            self.x_mins[self._x_min_idx.query(ws, we) - 1],
-            self.y_mins[self._y_min_idx.query(ws, we) - 1],
-            self.x_maxs[self._x_max_idx.query(ws, we) - 1],
-            self.y_maxs[self._y_max_idx.query(ws, we) - 1],
-        )
+        return self.table.box(self.base + ws, self.base + we)
 
 
 def build_log(
@@ -225,50 +260,37 @@ def build_log(
     positions: Sequence[tuple[int, int]],
     reference: Reference,
     matcher: Optional[ReferenceMatcher] = None,
+    table: Optional[PhraseTable] = None,
 ) -> TrajectoryLog:
     """Parse one trajectory's movements and assemble its log.
 
     `positions` are the absolute positions at consecutive timestamps
     starting at `start_time`.  `matcher` must have been built over the
-    reference's symbol ids; it is rebuilt here when omitted.
+    reference's symbol ids; it is rebuilt here when omitted.  The phrases
+    are appended to `table`, which the caller seals once every log is in;
+    without one the log gets a sealed table of its own.
     """
     if not positions:
         raise ValueError(f"object {object_id}: empty trajectory")
     if matcher is None:
         matcher = ReferenceMatcher(reference.ids)
+    own_table = table is None
+    if own_table:
+        table = PhraseTable()
+    base = len(table)
     moves = []
     for (x0, y0), (x1, y1) in zip(positions, positions[1:]):
         moves.append(reference.symbol_id((x1 - x0, y1 - y0)))
     phrases = matcher.parse(moves)
     marks = [0] * len(moves)
-    starts: list[int] = []
-    prevs: list[tuple[int, int]] = []
-    x_mins: list[int] = []
-    x_maxs: list[int] = []
-    y_mins: list[int] = []
-    y_maxs: list[int] = []
     at = 0
     for ph in phrases:
         marks[at] = 1
-        starts.append(ph.start)
-        prevs.append(positions[at])
         covered = positions[at + 1 : at + ph.length + 1]
         xs = [x for x, _ in covered]
         ys = [y for _, y in covered]
-        x_mins.append(min(xs))
-        x_maxs.append(max(xs))
-        y_mins.append(min(ys))
-        y_maxs.append(max(ys))
+        table.append(ph.start, *positions[at], min(xs), min(ys), max(xs), max(ys))
         at += ph.length
-    return TrajectoryLog(
-        object_id,
-        start_time,
-        tuple(positions[0]),
-        starts,
-        BitVector(marks),
-        prevs,
-        x_mins,
-        x_maxs,
-        y_mins,
-        y_maxs,
-    )
+    if own_table:
+        table.seal()
+    return TrajectoryLog(object_id, start_time, tuple(positions[0]), BitVector(marks), table, base)

@@ -1,228 +1,100 @@
-"""Binary index file: magic RCT1, little-endian scalars, varint arrays."""
+"""Binary index file, format v2: magic RCT1, little-endian scalars, raw columns.
+
+A column is its typecode (one ASCII byte: b/B, h/H, i/I or q/Q for 8-,
+16-, 32- and 64-bit signed/unsigned), its length as a u64, then its items
+raw and little-endian, so loading is one `array.frombytes` per column.
+"""
 
 from __future__ import annotations
 
 import io
 import struct
+import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .bitvec import BitVector
 from .index import RCTIndex, _as_fraction
-from .k2tree import Snapshot
-from .reference import ExtremaIndex, Reference
-from .rlz import TrajectoryLog
-from .rmq import MAX, MIN, RangeExtremumIndex
+from .k2tree import Snapshot, grid_side
+from .reference import Reference
+from .rlz import PhraseTable, TrajectoryLog
+from .rmq import compact
 
 MAGIC = b"RCT1"
-VERSION = 1
+VERSION = 2
+_TYPECODES = frozenset("bBhHiIqQ")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class IndexFormatError(Exception):
     """The file is not a readable index of a supported version."""
 
 
-# -- primitive encoders ------------------------------------------------------
-
-
-def _write_uv(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"unsigned varint cannot encode {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _write_sv(out: bytearray, value: int) -> None:
-    _write_uv(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
-
-
-def _write_uv_array(out: bytearray, values) -> None:
-    _write_uv(out, len(values))
-    for v in values:
-        _write_uv(out, v)
-
-
-def _write_sv_array(out: bytearray, values) -> None:
-    _write_uv(out, len(values))
-    for v in values:
-        _write_sv(out, v)
+def _write_column(out: bytearray, values) -> None:
+    column = compact(values)
+    out.extend(column.typecode.encode("ascii"))
+    out.extend(struct.pack("<Q", len(column)))
+    if _BIG_ENDIAN:
+        column.byteswap()
+    out.extend(column.tobytes())
 
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.at = 0
 
-    def uv(self) -> int:
-        value = 0
-        shift = 0
-        data = self.data
-        while True:
-            try:
-                byte = data[self.at]
-            except IndexError:
-                raise IndexFormatError("truncated index file") from None
-            self.at += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
+    def take(self, size: int) -> memoryview:
+        """The next `size` bytes; a file that ends sooner is truncated."""
+        end = self.at + size
+        if end > len(self.data):
+            raise IndexFormatError(f"truncated index file: {size} bytes wanted at offset {self.at}")
+        chunk = self.data[self.at : end]
+        self.at = end
+        return chunk
 
-    def sv(self) -> int:
-        z = self.uv()
-        return (z >> 1) if z % 2 == 0 else -((z + 1) >> 1)
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def uv_array(self) -> list[int]:
-        return [self.uv() for _ in range(self.uv())]
+    def count(self) -> int:
+        return self.unpack("<Q")[0]
 
-    def sv_array(self) -> list[int]:
-        return [self.sv() for _ in range(self.uv())]
+    def column(self) -> array:
+        code = chr(self.take(1)[0])
+        if code not in _TYPECODES:
+            raise IndexFormatError(f"unknown column typecode {code!r} at offset {self.at - 1}")
+        column = array(code)
+        column.frombytes(self.take(self.count() * column.itemsize))
+        if _BIG_ENDIAN:
+            column.byteswap()
+        return column
+
+    def columns(self, count: int) -> list[array]:
+        """`count` columns of one length."""
+        out = [self.column() for _ in range(count)]
+        if len({len(c) for c in out}) > 1:
+            raise IndexFormatError(f"columns of unequal lengths {[len(c) for c in out]}")
+        return out
 
     def bitvector(self) -> BitVector:
         bv, self.at = BitVector.from_bytes(self.data, self.at)
         return bv
-
-    def unpack(self, fmt: str):
-        values = struct.unpack_from(fmt, self.data, self.at)
-        self.at += struct.calcsize(fmt)
-        return values
-
-
-# -- composite sections -------------------------------------------------------
-
-
-def _write_rmq(out: bytearray, idx: RangeExtremumIndex | None) -> None:
-    if idx is None:
-        out.append(0xFF)
-        return
-    out.append(0 if idx.mode == MIN else 1)
-    _write_sv_array(out, idx.values)
-
-
-def _read_rmq(r: _Reader) -> RangeExtremumIndex | None:
-    tag = r.data[r.at]
-    r.at += 1
-    if tag == 0xFF:
-        return None
-    return RangeExtremumIndex(r.sv_array(), MIN if tag == 0 else MAX)
-
-
-def _write_extrema(out: bytearray, idx: ExtremaIndex) -> None:
-    out.append(0 if idx.mode == MIN else 1)
-    out.extend(idx.marks.to_bytes())
-    _write_rmq(out, idx.extremum)
-
-
-def _read_extrema(r: _Reader) -> ExtremaIndex:
-    mode = MIN if r.data[r.at] == 0 else MAX
-    r.at += 1
-    idx = ExtremaIndex.__new__(ExtremaIndex)
-    idx.mode = mode
-    idx.marks = r.bitvector()
-    idx.extremum = _read_rmq(r)
-    return idx
-
-
-def _write_reference(out: bytearray, ref: Reference) -> None:
-    _write_uv(out, len(ref))
-    _write_uv(out, len(ref.alphabet))
-    for dx, dy in ref.alphabet:
-        _write_sv(out, dx)
-        _write_sv(out, dy)
-    for i in ref.ids:
-        _write_uv(out, i)
-    for bv in (ref.x_pos, ref.x_neg, ref.y_pos, ref.y_neg):
-        out.extend(bv.to_bytes())
-    for idx in (ref.x_min_idx, ref.x_max_idx, ref.y_min_idx, ref.y_max_idx):
-        _write_extrema(out, idx)
-
-
-def _read_reference(r: _Reader) -> Reference:
-    m = r.uv()
-    alphabet = [(r.sv(), r.sv()) for _ in range(r.uv())]
-    ids = [r.uv() for _ in range(m)]
-    ref = Reference.__new__(Reference)
-    ref.alphabet = alphabet
-    ref._sym_id = {s: i for i, s in enumerate(alphabet)}
-    ref.ids = ids
-    ref.x_pos = r.bitvector()
-    ref.x_neg = r.bitvector()
-    ref.y_pos = r.bitvector()
-    ref.y_neg = r.bitvector()
-    ref.x_min_idx = _read_extrema(r)
-    ref.x_max_idx = _read_extrema(r)
-    ref.y_min_idx = _read_extrema(r)
-    ref.y_max_idx = _read_extrema(r)
-    return ref
-
-
-def _write_log(out: bytearray, log: TrajectoryLog) -> None:
-    _write_uv(out, log.object_id)
-    _write_uv(out, log.start_time)
-    _write_sv(out, log.start_pos[0])
-    _write_sv(out, log.start_pos[1])
-    _write_uv_array(out, log.phrase_starts)
-    out.extend(log.phrase_marks.to_bytes())
-    _write_uv(out, len(log.prev_positions))
-    for x, y in log.prev_positions:
-        _write_sv(out, x)
-        _write_sv(out, y)
-    _write_sv_array(out, log.x_mins)
-    _write_sv_array(out, log.x_maxs)
-    _write_sv_array(out, log.y_mins)
-    _write_sv_array(out, log.y_maxs)
-
-
-def _read_log(r: _Reader) -> TrajectoryLog:
-    object_id = r.uv()
-    start_time = r.uv()
-    start_pos = (r.sv(), r.sv())
-    phrase_starts = r.uv_array()
-    phrase_marks = r.bitvector()
-    prev_positions = [(r.sv(), r.sv()) for _ in range(r.uv())]
-    return TrajectoryLog(
-        object_id,
-        start_time,
-        start_pos,
-        phrase_starts,
-        phrase_marks,
-        prev_positions,
-        r.sv_array(),
-        r.sv_array(),
-        r.sv_array(),
-        r.sv_array(),
-    )
-
-
-def _write_snapshot(out: bytearray, sn: Snapshot) -> None:
-    _write_uv(out, sn.timestamp)
-    _write_uv(out, sn.side)
-    out.extend(sn.tree_bits.to_bytes())
-    out.extend(sn.leaf_bits.to_bytes())
-    out.extend(sn.run_starts.to_bytes())
-    _write_uv_array(out, sn.cell_ids)
-
-
-def _read_snapshot(r: _Reader, k: int) -> Snapshot:
-    timestamp = r.uv()
-    side = r.uv()
-    return Snapshot(
-        timestamp, side, k, r.bitvector(), r.bitvector(), r.bitvector(), r.uv_array()
-    )
 
 
 # -- whole files --------------------------------------------------------------
 
 
 def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> int:
-    """Serialize a built index; returns the number of bytes written."""
+    """Serialize a built index; returns the number of bytes written.
+
+    Layout after the header: the reference (alphabet dx, dy and step ids),
+    the objects (id, start time, start x, start y, then each one's phrase
+    marks), the seven PhraseTable columns, the snapshots (three bitvectors
+    and the cell ids each) and the appearance lists (periods, list lengths,
+    ids).  Snapshot timestamps and sides follow from the header.
+    """
     index._check_fitted()
     frac = _as_fraction(index.ref_fraction)
     out = bytearray()
@@ -230,17 +102,29 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
     out.extend(struct.pack("<H", VERSION))
     out.extend(struct.pack("<IIQQI", index.period, index.k, frac.numerator, frac.denominator, index.block_length))
     out.extend(struct.pack("<QQQ", index.grid_[0], index.grid_[1], index.max_speed_))
-    _write_reference(out, index.reference_)
-    _write_uv(out, len(index.logs_))
-    for oid in sorted(index.logs_):
-        _write_log(out, index.logs_[oid])
-    _write_uv(out, len(index.snapshots_))
+    ref = index.reference_
+    _write_column(out, [dx for dx, _ in ref.alphabet])
+    _write_column(out, [dy for _, dy in ref.alphabet])
+    _write_column(out, ref.ids)
+    logs = sorted(index.logs_.values(), key=lambda log: log.base)
+    _write_column(out, [log.object_id for log in logs])
+    _write_column(out, [log.start_time for log in logs])
+    _write_column(out, [log.start_pos[0] for log in logs])
+    _write_column(out, [log.start_pos[1] for log in logs])
+    for log in logs:
+        out.extend(log.phrase_marks.to_bytes())
+    for column in index.phrases_.columns():
+        _write_column(out, column)
+    out.extend(struct.pack("<Q", len(index.snapshots_)))
     for sn in index.snapshots_:
-        _write_snapshot(out, sn)
-    _write_uv(out, len(index.appearances_))
-    for q in sorted(index.appearances_):
-        _write_uv(out, q)
-        _write_uv_array(out, index.appearances_[q])
+        out.extend(sn.tree_bits.to_bytes())
+        out.extend(sn.leaf_bits.to_bytes())
+        out.extend(sn.run_starts.to_bytes())
+        _write_column(out, sn.cell_ids)
+    periods = sorted(index.appearances_)
+    _write_column(out, periods)
+    _write_column(out, [len(index.appearances_[q]) for q in periods])
+    _write_column(out, [oid for q in periods for oid in index.appearances_[q]])
     data = bytes(out)
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
@@ -251,7 +135,11 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
 
 
 def load_index(source: Union[str, Path, io.BufferedIOBase]) -> RCTIndex:
-    """Read an index file back; query behaviour is identical to the original."""
+    """Read an index file back; query behaviour is identical to the original.
+
+    Raises IndexFormatError for a file of another format or version, and
+    for one whose sections end early or do not fit together.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             data = fh.read()
@@ -259,26 +147,55 @@ def load_index(source: Union[str, Path, io.BufferedIOBase]) -> RCTIndex:
         data = source.read()
     if data[:4] != MAGIC:
         raise IndexFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    r = _Reader(data)
-    r.at = 4
+    try:
+        return _decode(_Reader(data))
+    except (struct.error, ValueError, IndexError, OverflowError) as exc:
+        raise IndexFormatError(f"corrupt index file: {exc}") from exc
+
+
+def _decode(r: _Reader) -> RCTIndex:
+    r.take(len(MAGIC))
     (version,) = r.unpack("<H")
     if version != VERSION:
-        raise IndexFormatError(f"unsupported index version {version}")
+        raise IndexFormatError(
+            f"unsupported index version {version}; this build reads version {VERSION}, rebuild the index"
+        )
     period, k, num, den, block_length = r.unpack("<IIQQI")
-    if den == 0:
-        raise IndexFormatError("corrupt ref_fraction")
+    if den == 0 or period < 1 or k < 2:
+        raise IndexFormatError("corrupt configuration block")
     max_x, max_y, max_speed = r.unpack("<QQQ")
-    reference = _read_reference(r)
+    dxs, dys = r.columns(2)
+    reference = Reference.from_parts(list(zip(dxs, dys)), r.column())
+
+    object_ids, start_times, start_xs, start_ys = r.columns(4)
+    marks = [r.bitvector() for _ in object_ids]
+    phrases = PhraseTable(r.columns(len(PhraseTable.COLUMNS)))
+    if len(phrases) != sum(m.ones for m in marks):
+        raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(m.ones for m in marks)} phrase marks")
     logs = {}
-    for _ in range(r.uv()):
-        log = _read_log(r)
-        logs[log.object_id] = log
-    snapshots = [_read_snapshot(r, k) for _ in range(r.uv())]
+    base = 0
+    for oid, t0, x0, y0, m in zip(object_ids, start_times, start_xs, start_ys, marks):
+        logs[oid] = TrajectoryLog(oid, t0, (x0, y0), m, phrases, base)
+        base += m.ones
+
+    side = grid_side((max_x, max_y), k)
+    snapshots = []
+    for q in range(r.count()):
+        tree_bits, leaf_bits, run_starts = r.bitvector(), r.bitvector(), r.bitvector()
+        snapshots.append(Snapshot(q * period, side, k, tree_bits, leaf_bits, run_starts, r.column()))
+
+    periods, lengths, ids = r.columns(2) + [r.column()]
+    if sum(lengths) != len(ids):
+        raise IndexFormatError(f"appearance lists of {sum(lengths)} ids hold {len(ids)}")
     appearances = {}
-    for _ in range(r.uv()):
-        q = r.uv()
-        appearances[q] = r.uv_array()
+    at = 0
+    for q, size in zip(periods, lengths):
+        appearances[q] = ids[at : at + size].tolist()
+        at += size
+    if r.at != len(r.data):
+        raise IndexFormatError(f"{len(r.data) - r.at} unread bytes after the last section")
+
     index = RCTIndex(period=period, k=k, ref_fraction=Fraction(num, den), block_length=block_length)
     t_max = max((log.end_time for log in logs.values()), default=0)
-    index._adopt((max_x, max_y), max_speed, t_max, reference, logs, snapshots, appearances)
+    index._adopt((max_x, max_y), max_speed, t_max, reference, phrases, logs, snapshots, appearances)
     return index

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from rct import (
     Trajectory,
     TrajectoryBetween,
     run_query,
+    validate_trajectories,
 )
 
 
@@ -232,3 +234,63 @@ def test_concurrent_readers_match_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda q: run_query(idx, q), queries))
     assert serial == threaded
+
+
+def test_save_returns_the_bytes_written(tmp_path):
+    idx = RCTIndex(period=4).fit(small_fleet())
+    path = tmp_path / "small.rct"
+    written = idx.save(path)
+    assert written == path.stat().st_size > 0
+    buf = io.BytesIO()
+    assert idx.save(buf) == len(buf.getvalue()) == written
+
+
+def test_numpy_integers_are_accepted_as_plain_ints():
+    np = pytest.importorskip("numpy")
+    plain = small_fleet()
+    wrapped = [
+        Trajectory(np.int64(tr.object_id), np.int32(tr.start_time), list(np.array(tr.positions, dtype=np.int64)))
+        for tr in plain
+    ]
+    checked = validate_trajectories(wrapped)
+    for tr, ref in zip(checked, plain):
+        assert type(tr.object_id) is int and type(tr.start_time) is int
+        assert all(type(x) is int and type(y) is int for x, y in tr.positions)
+        assert (tr.object_id, tr.start_time, tr.positions) == (ref.object_id, ref.start_time, ref.positions)
+    assert all(type(tr.object_id) is np.int64 for tr in wrapped)  # the input is left as it was
+    idx = RCTIndex(period=4).fit(wrapped)
+    store = RawStore(plain)
+    for t in range(12):
+        assert idx.time_slice((0, 0, 9, 9), t) == store.time_slice((0, 0, 9, 9), t)
+        assert idx.time_interval((2, 0, 7, 7), t, t + 3) == store.time_interval((2, 0, 7, 7), t, t + 3)
+    assert idx.search_object(np.int64(2), 6) == (4, 2)
+
+
+def test_values_too_wide_for_64_bits_are_rejected():
+    for x in (2**63, 2**64):
+        with pytest.raises(ValueError) as err:
+            RCTIndex().fit([Trajectory(3, 5, [(0, 0), (1, 1), (x, 1)])])
+        assert "object 3" in str(err.value) and "timestamp 7" in str(err.value)
+    with pytest.raises(ValueError):
+        RCTIndex().fit([Trajectory(2**63, 0, [(0, 0)])])
+
+
+def test_coordinates_of_two_to_the_forty_answer_exactly(tmp_path):
+    far = 2**40
+    trajs = [
+        Trajectory(1, 0, [(far + k, 7) for k in range(40)]),
+        Trajectory(2, 3, [(k, far - 2 * k) for k in range(30)]),
+        Trajectory(3, 5, [(far, far)] * 20),
+    ]
+    idx = RCTIndex(period=8).fit(trajs)
+    idx.save(tmp_path / "far.rct")
+    back = RCTIndex.load(tmp_path / "far.rct")
+    store = RawStore(trajs)
+    regions = [(0, 0, far, far), (far, 0, far + 10, 10), (0, far - 20, 5, far), (far, far, far, far)]
+    for engine in (idx, back):
+        for oid in (1, 2, 3):
+            assert engine.trajectory(oid, 0, 50) == store.trajectory(oid, 0, 50)
+        for region in regions:
+            for t in range(0, 45, 3):
+                assert engine.time_slice(region, t) == store.time_slice(region, t)
+                assert engine.time_interval(region, t, t + 6) == store.time_interval(region, t, t + 6)

@@ -80,19 +80,19 @@ def test_movement_additivity():
 
 def test_mbb_worked_index_arithmetic():
     # Constructed so the y-axis valleys sit at steps 3, 7 and 10 with the
-    # middle one weakly deepest, pinning the rank/select/extremum chain.
+    # first two tied deepest: steps i..j are rows i..j of the cumulative
+    # arrays, positions i+1..j+1 of their extremum indexes, minus row i-1.
     dys = [-1, -1, -1, 1, 1, -1, -1, 1, 1, -1, 1]
-    ref = Reference([(1, dy) for dy in dys])
-    idx = ref.y_min_idx
-    assert idx.marks.to01() == "00100010010"
-    assert idx.marks.rank1(4) + 1 == 2
-    assert idx.marks.rank1(11) == 3
-    assert idx.extremum.query(2, 3) == 2
-    assert idx.marks.select1(2) == 7
-    assert idx.candidate_step(5, 11) == 7
-    # answer = min of the two boundary values and the candidate value
-    assert ref.mbb(5, 11).y_min == -1
-    assert naive_mbb([(1, dy) for dy in dys], 5, 11)[1] == -1
+    symbols = [(1, dy) for dy in dys]
+    ref = Reference(symbols)
+    assert list(ref.cum_y) == [0, -1, -2, -3, -2, -1, -2, -3, -2, -1, -2, -1]
+    assert tuple(ref.mbb(5, 11)) == (1, -1, 7, 1)
+    assert tuple(ref.mbb(1, 11)) == (1, -3, 11, -1)
+    assert tuple(ref.mbb(4, 6)) == (1, 1, 3, 2)
+    assert naive_mbb(symbols, 5, 11)[1] == -1
+    for i in range(1, 12):
+        for j in range(i, 12):
+            assert tuple(ref.mbb(i, j)) == naive_mbb(symbols, i, j)
 
 
 def test_mbb_examples():
@@ -178,10 +178,14 @@ def test_build_reference_empty_dataset_rejected():
 
 
 def test_extrema_index_no_marks_on_monotone_axis():
-    ref = Reference([(1, 0)] * 10)
-    assert ref.x_min_idx.marks.ones == 0
-    assert ref.x_min_idx.candidate_step(1, 10) is None
+    # a monotone axis has no interior extremum: every bound sits at a range end
+    symbols = [(1, 0)] * 10
+    ref = Reference(symbols)
     assert ref.mbb(2, 9) == (1, 0, 8, 0)
+    assert ref.mbb(1, 10) == (1, 0, 10, 0)
+    for i in range(1, 11):
+        for j in range(i, 11):
+            assert tuple(ref.mbb(i, j)) == naive_mbb(symbols, i, j)
 
 
 def test_extrema_marks_mean_monotone_between():
@@ -191,12 +195,33 @@ def test_extrema_marks_mean_monotone_between():
     cum = [0]
     for _, dy in symbols:
         cum.append(cum[-1] + dy)
-    marks = [t for t in range(1, len(symbols) + 1) if ref.y_min_idx.marks.access(t)]
-    peaks = [t for t in range(1, len(symbols) + 1) if ref.y_max_idx.marks.access(t)]
-    for a, b in zip(marks, marks[1:]):
-        segment = cum[a : b + 1]
-        # between consecutive valleys the curve cannot dip below both ends
-        assert min(segment) >= min(segment[0], segment[-1])
+    steps = len(symbols)
+    valleys = [t for t in range(2, steps) if cum[t] < cum[t - 1] and cum[t] <= cum[t + 1]]
+    peaks = [t for t in range(2, steps) if cum[t] > cum[t - 1] and cum[t] >= cum[t + 1]]
+    # between consecutive valleys the curve cannot dip below both ends,
+    # nor rise above both ends between consecutive peaks
+    for a, b in zip(valleys, valleys[1:]):
+        assert ref.mbb(a, b).y_min + cum[a - 1] == min(cum[a], cum[b])
     for a, b in zip(peaks, peaks[1:]):
-        segment = cum[a : b + 1]
-        assert max(segment) <= max(segment[0], segment[-1])
+        assert ref.mbb(a, b).y_max + cum[a - 1] == max(cum[a], cum[b])
+    for i in range(1, steps + 1):
+        for j in range(i, steps + 1):
+            assert tuple(ref.mbb(i, j)) == naive_mbb(symbols, i, j)
+
+
+@pytest.mark.parametrize("jump_rate", [1.0, 0.05])
+def test_movement_and_mbb_with_steps_up_to_a_thousand(jump_rate):
+    # jump_rate 0.05 is glitch-shaped: unit steps with rare jumps of up to 1000
+    rng = random.Random(1000)
+    symbols = [
+        random_symbols(rng, 1, 1000)[0] if rng.random() < jump_rate else random_symbols(rng, 1, 1)[0]
+        for _ in range(400)
+    ]
+    ref = Reference(symbols)
+    m = len(symbols)
+    for _ in range(3000):
+        i = rng.randint(0, m)
+        j = rng.randint(i, m)
+        assert ref.movement(i, j) == naive_movement(symbols, i, j)
+        if i:
+            assert tuple(ref.mbb(i, j)) == naive_mbb(symbols, i, j)

@@ -117,10 +117,10 @@ def test_build_log_stationary():
     log, ref = build_simple_log(positions)
     assert log.phrase_count >= 1
     assert all(p == (5, 5) for p in log.prev_positions)
-    assert log.x_mins == [5] * log.phrase_count
-    assert log.x_maxs == [5] * log.phrase_count
-    assert log.y_mins == [5] * log.phrase_count
-    assert log.y_maxs == [5] * log.phrase_count
+    assert list(log.x_mins) == [5] * log.phrase_count
+    assert list(log.x_maxs) == [5] * log.phrase_count
+    assert list(log.y_mins) == [5] * log.phrase_count
+    assert list(log.y_maxs) == [5] * log.phrase_count
 
 
 def test_build_log_single_step():

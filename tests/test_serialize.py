@@ -5,6 +5,7 @@ import pytest
 
 from helpers import make_dataset, random_region
 from rct import RCTIndex, load_index, save_index
+from rct.cli import main
 from rct.serialize import IndexFormatError
 
 
@@ -60,9 +61,10 @@ def test_bad_version_rejected(tmp_path):
     buf = io.BytesIO()
     save_index(idx, buf)
     data = bytearray(buf.getvalue())
-    data[4:6] = (99).to_bytes(2, "little")
-    with pytest.raises(IndexFormatError):
-        load_index(io.BytesIO(bytes(data)))
+    for version in (1, 99):  # 1: files written before the raw-column format
+        data[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(IndexFormatError, match="rebuild"):
+            load_index(io.BytesIO(bytes(data)))
 
 
 def test_fraction_survives_roundtrip():
@@ -72,3 +74,22 @@ def test_fraction_survives_roundtrip():
     from fractions import Fraction
 
     assert Fraction(back.ref_fraction) == Fraction(1, 4)
+
+
+def test_every_truncation_fails_cleanly(tmp_path, capsys):
+    # cutting at every prefix length of a small index cuts at every section
+    # boundary and inside every section
+    rng = random.Random(61)  # 4 objects, 11 phrases, 2 appearance lists: 668 bytes
+    idx = RCTIndex(period=4).fit(make_dataset(rng, max_objects=4, max_duration=40))
+    buf = io.BytesIO()
+    save_index(idx, buf)
+    data = buf.getvalue()
+    assert len(data) >= 200
+    oid = min(idx.logs_)
+    path = tmp_path / "cut.rct"
+    for cut in range(len(data)):
+        with pytest.raises(IndexFormatError):
+            load_index(io.BytesIO(data[:cut]))
+        path.write_bytes(data[:cut])
+        assert main(["query", str(path), "search-object", "--id", str(oid), "--t", "0"]) == 2
+        assert "data error" in capsys.readouterr().err
