@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -256,23 +257,20 @@ class RCTIndex:
         phrases.seal()
 
         t_max = max(tr.end_time for tr in trajs)
-        by_id = {tr.object_id: tr for tr in trajs}
-        snapshots = []
-        for q in range(t_max // self.period + 1):
-            ts = q * self.period
-            points = [
-                (tr.object_id, *tr.positions[ts - tr.start_time])
-                for tr in trajs
-                if tr.start_time <= ts <= tr.end_time
-            ]
-            snapshots.append(build_snapshot(points, (max_x, max_y), self.k, ts))
-
+        # a snapshot only for the periods whose timestamp finds some object
+        # active, and an appearance list for those with mid-period arrivals
+        points: dict[int, list[tuple[int, int, int]]] = {}
         appearances: dict[int, list[int]] = {}
         for tr in trajs:
+            for q in range(-(-tr.start_time // self.period), tr.end_time // self.period + 1):
+                points.setdefault(q, []).append((tr.object_id, *tr.positions[q * self.period - tr.start_time]))
             if tr.start_time % self.period != 0:
                 appearances.setdefault(tr.start_time // self.period, []).append(tr.object_id)
         for ids in appearances.values():
             ids.sort()
+        snapshots = [
+            build_snapshot(points[q], (max_x, max_y), self.k, q * self.period) for q in sorted(points)
+        ]
 
         self._adopt((max_x, max_y), speed, t_max, reference, phrases, logs, snapshots, appearances)
         return self
@@ -280,7 +278,9 @@ class RCTIndex:
     def _adopt(self, grid, max_speed, t_max, reference, phrases, logs, snapshots, appearances) -> None:
         """Install fitted state, built by fit or read by load_index.
 
-        `phrases` is the PhraseTable every log's rows live in, in the order of `logs`.
+        `phrases` is the PhraseTable every log's rows live in, in the order of
+        `logs`; `snapshots` are sorted by timestamp, one per period that has
+        an object active at its start.
         """
         self.grid_ = grid
         self.max_speed_ = max_speed
@@ -290,6 +290,9 @@ class RCTIndex:
         self.logs_ = logs
         self.snapshots_ = snapshots
         self.appearances_ = appearances
+        self._snapshot_of = {sn.timestamp // self.period: sn for sn in snapshots}
+        # the only periods in which any object is active
+        self._busy_periods = sorted(self._snapshot_of.keys() | appearances.keys())
 
     def stats(self) -> dict:
         self._check_fitted()
@@ -326,25 +329,18 @@ class RCTIndex:
         if a > b:
             return []
         ref = self.reference_
-        x, y = log.position_at(ref, a - log.start_time)
+        t0 = log.start_time
+        off, stop = a - t0, b - t0
+        x, y = log.position_at(ref, off)
         out = [(a, x, y)]
-        first = a - log.start_time + 1
-        marks = log.phrase_marks
-        starts = log.table.starts
-        row = rs = 0
-        for off in range(first, b - log.start_time + 1):
-            if off == first:
-                j = log.phrase_of(off)
-                row = log.base + j - 1
-                rs = starts[row] + (off - log.phrase_first(j))
-            elif marks.access(off):
-                row += 1
-                rs = starts[row]
-            dx, dy = ref.step(rs)
-            x += dx
-            y += dy
-            rs += 1
-            out.append((log.start_time + off, x, y))
+        while off < stop:  # one phrase per round
+            j, rs = log.locate(off + 1)
+            for off in range(off + 1, min(stop, log.phrase_last(j)) + 1):
+                dx, dy = ref.step(rs)
+                x += dx
+                y += dy
+                rs += 1
+                out.append((t0 + off, x, y))
         return out
 
     def _slice_candidates(self, region: Region, t: int) -> set[int]:
@@ -356,9 +352,11 @@ class RCTIndex:
         if self._off_grid(region):
             return set()
         q = t // self.period
-        expanded = region.expanded(self.max_speed_ * (t - q * self.period), self.grid_)
-        found = {oid for oid, _, _ in self.snapshots_[q].report_region(expanded)}
-        found.update(self.appearances_.get(q, ()))
+        found = set(self.appearances_.get(q, ()))
+        snapshot = self._snapshot_of.get(q)
+        if snapshot is not None:
+            expanded = region.expanded(self.max_speed_ * (t - q * self.period), self.grid_)
+            found.update(oid for oid, _, _ in snapshot.report_region(expanded))
         return found
 
     def _off_grid(self, region: Region) -> bool:
@@ -391,7 +389,8 @@ class RCTIndex:
         if a > b or self._off_grid(region):
             return []
         found: set[int] = set()
-        for q in range(a // self.period, b // self.period + 1):
+        busy = self._busy_periods
+        for q in busy[bisect_left(busy, a // self.period) : bisect_right(busy, b // self.period)]:
             sub_a = max(a, q * self.period)
             sub_b = min(b, (q + 1) * self.period - 1)
             # objects inside at some t in [sub_a, sub_b] are candidates at sub_b
@@ -422,7 +421,7 @@ class RCTIndex:
             if ta > tb:
                 return False
         # first phrase starting at or after ta; last phrase ending at or before tb
-        ws = log.phrase_marks.rank1(ta - 1) + 1
+        ws = log.phrase_of(ta - 1) + 1
         jb = log.phrase_of(tb)
         we = jb if log.phrase_last(jb) <= tb else jb - 1
         if ws > we:
@@ -451,24 +450,15 @@ class RCTIndex:
 
     def _scan_movements(self, log: TrajectoryLog, region: Region, lo: int, hi: int) -> bool:
         """Check movement offsets [lo, hi], chunked per phrase, on the reference."""
-        table = log.table
-        j = log.phrase_of(lo)
+        u = lo
         while True:
-            first = log.phrase_first(j)
-            last = log.phrase_last(j)
-            u = max(lo, first)
-            v = min(hi, last)
-            row = log.base + j - 1
-            start = table.starts[row]
-            dx, dy = self.reference_.movement(start - 1, start - 1 + (u - first))
-            base = (table.prev_x[row] + dx, table.prev_y[row] + dy)
-            ri = start + (u - first)
-            rj = start + (v - first)
-            if self._check_reference(region, base, ri, rj):
+            j, ri = log.locate(u)
+            v = min(hi, log.phrase_last(j))
+            if self._check_reference(region, log.position_at(self.reference_, u - 1), ri, ri + v - u):
                 return True
-            if last >= hi:
+            if v == hi:
                 return False
-            j += 1
+            u = v + 1
 
     def _check_reference(self, region: Region, base: tuple[int, int], ri: int, rj: int) -> bool:
         """Binary search over reference steps [ri, rj]; `base` is the position at step ri-1."""

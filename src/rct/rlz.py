@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bitvec import BitVector
 from .reference import Reference
 from .rmq import MAX, MIN, RangeExtremumIndex, compact
 
@@ -123,6 +123,7 @@ class PhraseTable:
     """Per-phrase columns of many logs, concatenated; each log owns a run of rows.
 
     Row k describes one phrase: `starts[k]` is its 1-based reference start,
+    `firsts[k]` the 1-based movement offset in its log where it begins,
     `prev_x[k]`/`prev_y[k]` the absolute position just before it, and
     `x_min[k]`..`y_max[k]` the bounding box of the positions reached during
     it.  Rows are appended while logs are built; `seal()` then narrows
@@ -130,11 +131,11 @@ class PhraseTable:
     per extrema column, which `box` needs.
     """
 
-    COLUMNS = ("starts", "prev_x", "prev_y", "x_min", "y_min", "x_max", "y_max")
+    COLUMNS = ("starts", "firsts", "prev_x", "prev_y", "x_min", "y_min", "x_max", "y_max")
     __slots__ = COLUMNS + ("_extrema",)
 
     def __init__(self, columns: Optional[Sequence[Sequence[int]]] = None):
-        """Empty, or sealed over the seven COLUMNS given in order."""
+        """Empty, or sealed over the eight COLUMNS given in order."""
         for name, column in zip(self.COLUMNS, columns or [[] for _ in self.COLUMNS]):
             setattr(self, name, column)
         self._extrema: tuple[RangeExtremumIndex, ...] = ()
@@ -175,37 +176,31 @@ class PhraseTable:
 
 
 class TrajectoryLog:
-    """RLZ encoding of one object's movements: phrase marks plus rows of a PhraseTable.
+    """RLZ encoding of one object's movements: a run of rows of a PhraseTable.
 
-    `phrase_marks` has a 1 at the first movement of every phrase; phrase j
-    (1-based) is row `base + j - 1` of `table`.
+    Phrase j (1-based) is row `base + j - 1` of `table`; the log's
+    `phrase_count` phrases cover its `move_count` movements.
     """
 
-    __slots__ = ("object_id", "start_time", "start_pos", "phrase_marks", "table", "base")
+    __slots__ = ("object_id", "start_time", "start_pos", "move_count", "phrase_count", "table", "base")
 
     def __init__(
         self,
         object_id: int,
         start_time: int,
         start_pos: tuple[int, int],
-        phrase_marks: BitVector,
+        move_count: int,
+        phrase_count: int,
         table: PhraseTable,
         base: int,
     ):
         self.object_id = object_id
         self.start_time = start_time
         self.start_pos = start_pos
-        self.phrase_marks = phrase_marks
+        self.move_count = move_count
+        self.phrase_count = phrase_count
         self.table = table
         self.base = base
-
-    @property
-    def move_count(self) -> int:
-        return len(self.phrase_marks)
-
-    @property
-    def phrase_count(self) -> int:
-        return self.phrase_marks.ones
 
     @property
     def end_time(self) -> int:
@@ -226,28 +221,34 @@ class TrajectoryLog:
         return list(zip(self._rows(self.table.prev_x), self._rows(self.table.prev_y)))
 
     def phrase_of(self, offset: int) -> int:
-        """1-based phrase index containing movement `offset`."""
-        return self.phrase_marks.rank1(offset)
+        """1-based phrase index containing movement `offset`; 0 for offset 0."""
+        return bisect_right(self.table.firsts, offset, self.base, self.base + self.phrase_count) - self.base
 
     def phrase_first(self, j: int) -> int:
-        return self.phrase_marks.select1(j)
+        return self.table.firsts[self.base + j - 1]
 
     def phrase_last(self, j: int) -> int:
         if j == self.phrase_count:
             return self.move_count
-        return self.phrase_marks.select1(j + 1) - 1
+        return self.table.firsts[self.base + j] - 1
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """(j, step): movement `offset` lies in phrase j and copies reference step `step`.
+
+        1 <= offset <= move_count; j and step are 1-based.
+        """
+        j = self.phrase_of(offset)
+        row = self.base + j - 1
+        return j, self.table.starts[row] + offset - self.table.firsts[row]
 
     def position_at(self, reference: Reference, offset: int) -> tuple[int, int]:
         """Absolute position after `offset` movements, 0 <= offset <= move_count."""
         if offset == 0:
             return self.start_pos
-        j = self.phrase_of(offset)
-        within = offset - self.phrase_first(j)
-        table = self.table
+        j, step = self.locate(offset)
         row = self.base + j - 1
-        start = table.starts[row]
-        dx, dy = reference.movement(start - 1, start + within)
-        return (table.prev_x[row] + dx, table.prev_y[row] + dy)
+        dx, dy = reference.movement(self.table.starts[row] - 1, step)
+        return (self.table.prev_x[row] + dx, self.table.prev_y[row] + dy)
 
     def phrase_box(self, ws: int, we: int) -> tuple[int, int, int, int]:
         """Bounding box of all positions reached during phrases ws..we (1-based)."""
@@ -282,15 +283,13 @@ def build_log(
     for (x0, y0), (x1, y1) in zip(positions, positions[1:]):
         moves.append(reference.symbol_id((x1 - x0, y1 - y0)))
     phrases = matcher.parse(moves)
-    marks = [0] * len(moves)
     at = 0
     for ph in phrases:
-        marks[at] = 1
         covered = positions[at + 1 : at + ph.length + 1]
         xs = [x for x, _ in covered]
         ys = [y for _, y in covered]
-        table.append(ph.start, *positions[at], min(xs), min(ys), max(xs), max(ys))
+        table.append(ph.start, at + 1, *positions[at], min(xs), min(ys), max(xs), max(ys))
         at += ph.length
     if own_table:
         table.seal()
-    return TrajectoryLog(object_id, start_time, tuple(positions[0]), BitVector(marks), table, base)
+    return TrajectoryLog(object_id, start_time, tuple(positions[0]), len(moves), len(phrases), table, base)

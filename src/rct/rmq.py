@@ -15,14 +15,17 @@ _BLOCK = 1 << _BLOCK_SHIFT
 def compact(values: Sequence[int]) -> array:
     """`values` as an array of the narrowest 8-, 16-, 32- or 64-bit typecode.
 
-    Unsigned codes are used when no value is negative.  Raises ValueError
-    when a value does not fit 64 bits.
+    Unsigned codes are used when no value is negative; an array that
+    already has the narrowest typecode is returned itself, not copied.
+    Raises ValueError when a value does not fit 64 bits.
     """
     lo = min(values, default=0)
     hi = max(values, default=0)
     for code in "BHIQ" if lo >= 0 else "bhiq":
         bits = 8 * array(code).itemsize - (lo < 0)  # a signed code spends one bit on the sign
         if -(1 << bits) <= lo and hi < 1 << bits:
+            if isinstance(values, array) and values.typecode == code:
+                return values
             return array(code, values)
     raise ValueError(f"values in [{lo}, {hi}] do not fit a 64-bit column")
 

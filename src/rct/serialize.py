@@ -1,8 +1,9 @@
-"""Binary index file, format v2: magic RCT1, little-endian scalars, raw columns.
+"""Binary index file, format v3: magic RCT1, little-endian scalars, raw columns.
 
 A column is its typecode (one ASCII byte: b/B, h/H, i/I or q/Q for 8-,
 16-, 32- and 64-bit signed/unsigned), its length as a u64, then its items
 raw and little-endian, so loading is one `array.frombytes` per column.
+The file ends with the CRC-32 of everything before it, as a u32.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import io
 import struct
 import sys
+import zlib
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,9 @@ from .rlz import PhraseTable, TrajectoryLog
 from .rmq import compact
 
 MAGIC = b"RCT1"
-VERSION = 2
+VERSION = 3
+_HEAD = struct.Struct("<4sH")
+_CRC = struct.Struct("<I")
 _TYPECODES = frozenset("bBhHiIqQ")
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -37,6 +41,7 @@ def _write_column(out: bytearray, values) -> None:
     out.extend(column.typecode.encode("ascii"))
     out.extend(struct.pack("<Q", len(column)))
     if _BIG_ENDIAN:
+        column = array(column.typecode, column)  # a copy: compact may return `values` itself
         column.byteswap()
     out.extend(column.tobytes())
 
@@ -58,15 +63,12 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def count(self) -> int:
-        return self.unpack("<Q")[0]
-
     def column(self) -> array:
         code = chr(self.take(1)[0])
         if code not in _TYPECODES:
             raise IndexFormatError(f"unknown column typecode {code!r} at offset {self.at - 1}")
         column = array(code)
-        column.frombytes(self.take(self.count() * column.itemsize))
+        column.frombytes(self.take(self.unpack("<Q")[0] * column.itemsize))
         if _BIG_ENDIAN:
             column.byteswap()
         return column
@@ -90,16 +92,15 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
     """Serialize a built index; returns the number of bytes written.
 
     Layout after the header: the reference (alphabet dx, dy and step ids),
-    the objects (id, start time, start x, start y, then each one's phrase
-    marks), the seven PhraseTable columns, the snapshots (three bitvectors
-    and the cell ids each) and the appearance lists (periods, list lengths,
-    ids).  Snapshot timestamps and sides follow from the header.
+    the objects (id, start time, start x, start y, move count, phrase
+    count), the eight PhraseTable columns, the snapshots (their periods,
+    then three bitvectors and the cell ids each), the appearance lists
+    (periods, list lengths, ids) and the CRC-32 trailer.  Snapshot
+    timestamps and sides follow from the periods and the header.
     """
     index._check_fitted()
     frac = _as_fraction(index.ref_fraction)
-    out = bytearray()
-    out.extend(MAGIC)
-    out.extend(struct.pack("<H", VERSION))
+    out = bytearray(_HEAD.pack(MAGIC, VERSION))
     out.extend(struct.pack("<IIQQI", index.period, index.k, frac.numerator, frac.denominator, index.block_length))
     out.extend(struct.pack("<QQQ", index.grid_[0], index.grid_[1], index.max_speed_))
     ref = index.reference_
@@ -111,11 +112,11 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
     _write_column(out, [log.start_time for log in logs])
     _write_column(out, [log.start_pos[0] for log in logs])
     _write_column(out, [log.start_pos[1] for log in logs])
-    for log in logs:
-        out.extend(log.phrase_marks.to_bytes())
+    _write_column(out, [log.move_count for log in logs])
+    _write_column(out, [log.phrase_count for log in logs])
     for column in index.phrases_.columns():
         _write_column(out, column)
-    out.extend(struct.pack("<Q", len(index.snapshots_)))
+    _write_column(out, [sn.timestamp // index.period for sn in index.snapshots_])
     for sn in index.snapshots_:
         out.extend(sn.tree_bits.to_bytes())
         out.extend(sn.leaf_bits.to_bytes())
@@ -125,6 +126,7 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
     _write_column(out, periods)
     _write_column(out, [len(index.appearances_[q]) for q in periods])
     _write_column(out, [oid for q in periods for oid in index.appearances_[q]])
+    out.extend(_CRC.pack(zlib.crc32(out)))
     data = bytes(out)
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
@@ -137,8 +139,9 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
 def load_index(source: Union[str, Path, io.BufferedIOBase]) -> RCTIndex:
     """Read an index file back; query behaviour is identical to the original.
 
-    Raises IndexFormatError for a file of another format or version, and
-    for one whose sections end early or do not fit together.
+    Raises IndexFormatError for a file of another format or version, for
+    one whose checksum does not match, and for one whose sections end
+    early or do not fit together.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -148,18 +151,23 @@ def load_index(source: Union[str, Path, io.BufferedIOBase]) -> RCTIndex:
     if data[:4] != MAGIC:
         raise IndexFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
     try:
-        return _decode(_Reader(data))
+        return _decode(data)
     except (struct.error, ValueError, IndexError, OverflowError) as exc:
         raise IndexFormatError(f"corrupt index file: {exc}") from exc
 
 
-def _decode(r: _Reader) -> RCTIndex:
-    r.take(len(MAGIC))
-    (version,) = r.unpack("<H")
+def _decode(data: bytes) -> RCTIndex:
+    # the version comes first, so that older files are told to rebuild, not that they are damaged
+    _, version = _HEAD.unpack_from(data)
     if version != VERSION:
         raise IndexFormatError(
             f"unsupported index version {version}; this build reads version {VERSION}, rebuild the index"
         )
+    body = memoryview(data)[: -_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(data, len(body))[0]:
+        raise IndexFormatError("index file checksum mismatch: the file is damaged or truncated")
+    r = _Reader(body)
+    r.take(_HEAD.size)
     period, k, num, den, block_length = r.unpack("<IIQQI")
     if den == 0 or period < 1 or k < 2:
         raise IndexFormatError("corrupt configuration block")
@@ -167,20 +175,19 @@ def _decode(r: _Reader) -> RCTIndex:
     dxs, dys = r.columns(2)
     reference = Reference.from_parts(list(zip(dxs, dys)), r.column())
 
-    object_ids, start_times, start_xs, start_ys = r.columns(4)
-    marks = [r.bitvector() for _ in object_ids]
+    object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts = r.columns(6)
     phrases = PhraseTable(r.columns(len(PhraseTable.COLUMNS)))
-    if len(phrases) != sum(m.ones for m in marks):
-        raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(m.ones for m in marks)} phrase marks")
+    if len(phrases) != sum(phrase_counts):
+        raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(phrase_counts)} phrases")
     logs = {}
     base = 0
-    for oid, t0, x0, y0, m in zip(object_ids, start_times, start_xs, start_ys, marks):
-        logs[oid] = TrajectoryLog(oid, t0, (x0, y0), m, phrases, base)
-        base += m.ones
+    for oid, t0, x0, y0, n, z in zip(object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts):
+        logs[oid] = TrajectoryLog(oid, t0, (x0, y0), n, z, phrases, base)
+        base += z
 
     side = grid_side((max_x, max_y), k)
     snapshots = []
-    for q in range(r.count()):
+    for q in r.column():
         tree_bits, leaf_bits, run_starts = r.bitvector(), r.bitvector(), r.bitvector()
         snapshots.append(Snapshot(q * period, side, k, tree_bits, leaf_bits, run_starts, r.column()))
 

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 
@@ -294,3 +295,27 @@ def test_coordinates_of_two_to_the_forty_answer_exactly(tmp_path):
             for t in range(0, 45, 3):
                 assert engine.time_slice(region, t) == store.time_slice(region, t)
                 assert engine.time_interval(region, t, t + 6) == store.time_interval(region, t, t + 6)
+
+
+def test_periods_without_active_objects_build_no_snapshot(tmp_path):
+    # period=1 and a gap of 2^40 timestamps: one snapshot per period would never finish
+    far = 2**40
+    trajs = [Trajectory(1, 0, [(3, 4), (4, 4)]), Trajectory(2, far, [(9, 1), (8, 2)])]
+    started = time.perf_counter()
+    idx = RCTIndex(period=1).fit(trajs)
+    assert time.perf_counter() - started < 1.0
+    assert len(idx.snapshots_) <= 4
+    idx.save(tmp_path / "gap.rct")
+    back = RCTIndex.load(tmp_path / "gap.rct")
+    store = RawStore(trajs)
+    times = [0, 1, 2, 5, far - 1, far, far + 1, far + 2]
+    regions = [(0, 0, 9, 9), (3, 4, 3, 4), (8, 0, 9, 1), (4, 0, 9, 4)]
+    for engine in (idx, back):
+        assert [sn.timestamp for sn in engine.snapshots_] == [0, 1, far, far + 1]
+        for region in regions:
+            for t in times:
+                assert engine.time_slice(region, t) == store.time_slice(region, t)
+            for a in times:
+                for b in times:
+                    if a <= b:
+                        assert engine.time_interval(region, a, b) == store.time_interval(region, a, b)

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from rct import Phrase, Reference, ReferenceMatcher, build_log, decompress
-from rct.rlz import suffix_array
+from rct.reference import build_reference
+from rct.rlz import PhraseTable, suffix_array
 
 
 REF_DNA = "tggcacttgat"
@@ -143,7 +145,7 @@ def test_build_log_invariants_random():
         t_s = rng.randint(0, 40)
         log, ref = build_simple_log(positions, t_s=t_s, oid=9)
         z = log.phrase_count
-        assert log.phrase_marks.ones == z == len(log.phrase_starts)
+        assert log.phrase_count == z == len(log.phrase_starts)
         assert len(log.prev_positions) == z
         assert log.start_time == t_s and log.end_time == t_s + steps
         # prev chain consistency
@@ -172,3 +174,38 @@ def test_build_log_rejects_empty():
     ref = Reference([(0, 0)])
     with pytest.raises(ValueError):
         build_log(1, 0, [], ref)
+
+
+def test_logs_sharing_one_table_stay_within_their_rows():
+    # several logs in one table put every log but the first at base > 0; the
+    # single-position logs own no rows, so a bisect past its bounds would
+    # read a neighbour's phrases
+    rng = random.Random(7)
+    walks = []
+    for n in (1, 30, 1, 55, 2, 1, 40):
+        x, y = rng.randint(0, 30), rng.randint(0, 30)
+        positions = [(x, y)]
+        for _ in range(n - 1):
+            x += rng.randint(-2, 2)
+            y += rng.randint(-2, 2)
+            positions.append((x, y))
+        walks.append(positions)
+    ref = build_reference([[(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(w, w[1:])] for w in walks],
+                          Fraction(1, 4), 4)
+    matcher = ReferenceMatcher(ref.ids)
+    table = PhraseTable()
+    logs = [build_log(oid, 0, w, ref, matcher, table) for oid, w in enumerate(walks)]
+    table.seal()
+    assert [log.base for log in logs] == [sum(other.phrase_count for other in logs[:i]) for i in range(len(logs))]
+    for log, walk in zip(logs, walks):
+        ids = [ref.symbol_id((x1 - x0, y1 - y0)) for (x0, y0), (x1, y1) in zip(walk, walk[1:])]
+        phrase_at = [0]  # naive scan: the phrase of every offset, from the parse
+        for j, ph in enumerate(matcher.parse(ids), 1):
+            phrase_at += [j] * ph.length
+        assert log.move_count == len(walk) - 1 and log.phrase_count == phrase_at[-1]
+        for j in range(1, log.phrase_count + 1):
+            assert log.phrase_first(j) == phrase_at.index(j)
+            assert log.phrase_last(j) == len(phrase_at) - 1 - phrase_at[::-1].index(j)
+        for off in range(log.move_count + 1):
+            assert log.phrase_of(off) == phrase_at[off]
+            assert log.position_at(ref, off) == walk[off]

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -108,6 +109,9 @@ def test_compact_picks_the_narrowest_typecode():
     for values, code in cases:
         column = compact(values)
         assert column.typecode == code and list(column) == values
+    narrow = array("H", [256])  # a loaded column is kept, not copied
+    assert compact(narrow) is narrow
+    assert compact(array("Q", [256])) == narrow
     for values in ([2**64], [-1, 2**63], [-(2**63) - 1]):
         with pytest.raises(ValueError):
             compact(values)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import make_dataset, random_region
-from rct import RCTIndex, load_index, save_index
+from rct import BitVector, RCTIndex, Trajectory, load_index, save_index
 from rct.cli import main
 from rct.serialize import IndexFormatError
 
@@ -79,7 +79,7 @@ def test_fraction_survives_roundtrip():
 def test_every_truncation_fails_cleanly(tmp_path, capsys):
     # cutting at every prefix length of a small index cuts at every section
     # boundary and inside every section
-    rng = random.Random(61)  # 4 objects, 11 phrases, 2 appearance lists: 668 bytes
+    rng = random.Random(61)  # 4 objects, 11 phrases, 2 appearance lists: 666 bytes
     idx = RCTIndex(period=4).fit(make_dataset(rng, max_objects=4, max_duration=40))
     buf = io.BytesIO()
     save_index(idx, buf)
@@ -93,3 +93,57 @@ def test_every_truncation_fails_cleanly(tmp_path, capsys):
         path.write_bytes(data[:cut])
         assert main(["query", str(path), "search-object", "--id", str(oid), "--t", "0"]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+def test_every_copy_with_flipped_bits_is_rejected(tmp_path, capsys):
+    # the CRC-32 trailer detects every error of up to three bits in a file
+    # this small, wherever the bits sit: header, body or the trailer itself
+    rng = random.Random(62)
+    idx = RCTIndex(period=4).fit(make_dataset(rng, max_objects=6, max_duration=60))
+    buf = io.BytesIO()
+    save_index(idx, buf)
+    data = buf.getvalue()
+    oid = min(idx.logs_)
+    path = tmp_path / "flipped.rct"
+    for copy in range(1000):
+        damaged = bytearray(data)
+        for bit in rng.sample(range(8 * len(data)), rng.randint(1, 3)):
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(IndexFormatError):
+            load_index(io.BytesIO(bytes(damaged)))
+        if copy % 50 == 0:
+            path.write_bytes(bytes(damaged))
+            assert main(["query", str(path), "search-object", "--id", str(oid), "--t", "0"]) == 2
+            assert "data error" in capsys.readouterr().err
+
+
+def _bitvectors_built_by_load(monkeypatch, data: bytes) -> int:
+    built = []
+    from_bytes, init = BitVector.from_bytes.__func__, BitVector.__init__
+
+    def counted_from_bytes(cls, *args):
+        built.append(1)
+        return from_bytes(cls, *args)
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BitVector, "from_bytes", classmethod(counted_from_bytes))
+        patch.setattr(BitVector, "__init__", counted_init)
+        load_index(io.BytesIO(data))
+    return len(built)
+
+
+def test_load_builds_nothing_per_object(monkeypatch):
+    # same t_max and period, so the same snapshots: only the object count differs
+    rng = random.Random(63)
+    counts = []
+    for objects in (5, 50):
+        fleet = [Trajectory(oid, 0, [(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(41)])
+                 for oid in range(objects)]
+        buf = io.BytesIO()
+        save_index(RCTIndex(period=8).fit(fleet), buf)
+        counts.append(_bitvectors_built_by_load(monkeypatch, buf.getvalue()))
+    assert counts[0] == counts[1] == 3 * 6  # three bitvectors per snapshot, t = 0, 8, ..., 40
