@@ -61,7 +61,7 @@ def test_bad_version_rejected(tmp_path):
     buf = io.BytesIO()
     save_index(idx, buf)
     data = bytearray(buf.getvalue())
-    for version in (1, 99):  # 1: files written before the raw-column format
+    for version in (1, 2, 99):  # 1: before the raw columns; 2: before the checksum
         data[4:6] = version.to_bytes(2, "little")
         with pytest.raises(IndexFormatError, match="rebuild"):
             load_index(io.BytesIO(bytes(data)))
