@@ -135,12 +135,12 @@ class PhraseTable:
     __slots__ = COLUMNS + ("_extrema",)
 
     def __init__(self, columns: Optional[Sequence[Sequence[int]]] = None):
-        """Empty, or sealed over the eight COLUMNS given in order."""
+        """Empty, or sealed over the eight COLUMNS given in order, which are narrow already."""
         for name, column in zip(self.COLUMNS, columns or [[] for _ in self.COLUMNS]):
             setattr(self, name, column)
         self._extrema: tuple[RangeExtremumIndex, ...] = ()
         if columns is not None:
-            self.seal()
+            self._index_extrema()
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -156,6 +156,9 @@ class PhraseTable:
     def seal(self) -> None:
         for name in self.COLUMNS:
             setattr(self, name, compact(getattr(self, name)))
+        self._index_extrema()
+
+    def _index_extrema(self) -> None:
         if len(self):
             self._extrema = (
                 RangeExtremumIndex(self.x_min, MIN),

@@ -147,3 +147,15 @@ def test_load_builds_nothing_per_object(monkeypatch):
         save_index(RCTIndex(period=8).fit(fleet), buf)
         counts.append(_bitvectors_built_by_load(monkeypatch, buf.getvalue()))
     assert counts[0] == counts[1] == 3 * 6  # three bitvectors per snapshot, t = 0, 8, ..., 40
+
+
+def test_load_keeps_the_saved_columns():
+    # loaded columns are used as read, so they must come back as narrow as fit made them
+    rng = random.Random(64)
+    idx = RCTIndex(period=8).fit(make_dataset(rng, max_objects=10, max_duration=120))
+    back = roundtrip(idx)
+    pairs = list(zip(idx.phrases_.columns(), back.phrases_.columns()))
+    pairs += [(getattr(idx.reference_, name), getattr(back.reference_, name)) for name in ("cum_x", "cum_y")]
+    for fitted, loaded in pairs:
+        assert loaded.typecode == fitted.typecode
+        assert loaded == fitted
