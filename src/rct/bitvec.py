@@ -1,116 +1,60 @@
-"""Plain bitvector with constant-time rank and select over 1-based positions."""
+"""Plain bitvector with rank and select over 1-based positions."""
 
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 _WORD = 64
-_SUPER_WORDS = 8  # superblock = 512 bits
-_SELECT_SAMPLE = 512  # one word hint per this many ones
-
-_BYTE_POP = [bin(b).count("1") for b in range(256)]
+_DIGITS = {0: "0", 1: "1", "0": "0", "1": "1"}
 
 
 def _kth_one_in_word(word: int, k: int) -> int:
     """Bit offset (0-based) of the k-th set bit of a 64-bit word, k >= 1."""
     offset = 0
-    while True:
-        byte = word & 0xFF
-        pop = _BYTE_POP[byte]
-        if k <= pop:
-            break
-        k -= pop
-        word >>= 8
-        offset += 8
-    for bit in range(8):
-        if byte & (1 << bit):
-            k -= 1
-            if k == 0:
-                return offset + bit
-    raise AssertionError("corrupt rank directory")
+    for width in (32, 16, 8, 4, 2, 1):
+        low = (word & ((1 << width) - 1)).bit_count()
+        if low < k:
+            k -= low
+            word >>= width
+            offset += width
+    return offset
 
 
 class BitVector:
     """Immutable sequence of bits supporting access, rank1 and select1.
 
-    Positions are 1-based on the outside.  Rank uses a two-level directory
-    (absolute counts per superblock, relative counts per word); select uses
-    sampled one-positions to bound a binary search plus an in-word scan.
+    Positions are 1-based on the outside; position i is bit (i - 1) % 64 of
+    word (i - 1) // 64.  `_cum[w]` is the number of ones in words[0:w], so
+    rank is one lookup plus a popcount, and select a bisect over `_cum`
+    plus a search inside one word.
     """
 
-    __slots__ = ("_n", "_words", "_super", "_rel", "_samples", "_ones")
+    __slots__ = ("_n", "_words", "_cum")
 
     def __init__(self, bits: Iterable[int] | str = ()):
-        words: list[int] = []
-        n = 0
-        word = 0
-        shift = 0
-        for b in bits:
-            if b not in (0, 1, "0", "1"):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            if b in (1, "1"):
-                word |= 1 << shift
-            shift += 1
-            n += 1
-            if shift == _WORD:
-                words.append(word)
-                word = 0
-                shift = 0
-        if shift:
-            words.append(word)
+        try:
+            text = "".join(map(_DIGITS.__getitem__, bits))
+        except KeyError as exc:
+            raise ValueError(f"bit must be 0 or 1, got {exc.args[0]!r}") from None
+        nwords = -(-len(text) // _WORD)
+        packed = int(text[::-1] or "0", 2).to_bytes(8 * nwords, "little")
+        self._set(len(text), list(struct.unpack(f"<{nwords}Q", packed)))
+
+    def _set(self, n: int, words: list[int]) -> None:
         self._n = n
         self._words = words
-        self._build_directories()
-
-    @classmethod
-    def _from_words(cls, n: int, words: list[int]) -> "BitVector":
-        bv = cls.__new__(cls)
-        bv._n = n
-        bv._words = words
-        bv._build_directories()
-        return bv
-
-    def _build_directories(self) -> None:
-        words = self._words
-        sup: list[int] = []
-        rel: list[int] = []
-        samples: list[int] = []
-        total = 0
-        in_super = 0
-        next_sample = 1
-        for w, word in enumerate(words):
-            if w % _SUPER_WORDS == 0:
-                sup.append(total)
-                in_super = 0
-            rel.append(in_super)
-            pop = word.bit_count()
-            while next_sample <= total + pop:
-                samples.append(w)
-                next_sample += _SELECT_SAMPLE
-            total += pop
-            in_super += pop
-        # sentinel entries so _cum(len(words)) is valid
-        if len(words) % _SUPER_WORDS == 0:
-            sup.append(total)
-            rel.append(0)
-        else:
-            rel.append(in_super)
-        self._super = sup
-        self._rel = rel
-        self._samples = samples
-        self._ones = total
-
-    def _cum(self, w: int) -> int:
-        """Number of ones in words[0:w]."""
-        return self._super[w // _SUPER_WORDS] + self._rel[w]
+        self._cum = array("I", accumulate(map(int.bit_count, words), initial=0))
 
     def __len__(self) -> int:
         return self._n
 
     @property
     def ones(self) -> int:
-        return self._ones
+        return self._cum[-1]
 
     def access(self, i: int) -> int:
         """The i-th bit, 1 <= i <= n."""
@@ -125,36 +69,22 @@ class BitVector:
             raise ValueError(f"rank position {i} out of range [0, {self._n}]")
         w, r = divmod(i, _WORD)
         if r == 0:
-            return self._cum(w)
-        return self._cum(w) + (self._words[w] & ((1 << r) - 1)).bit_count()
+            return self._cum[w]
+        return self._cum[w] + (self._words[w] & ((1 << r) - 1)).bit_count()
 
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
 
     def select1(self, j: int) -> int:
         """Position of the j-th one, 1 <= j <= ones."""
-        if not 1 <= j <= self._ones:
-            raise ValueError(f"select argument {j} out of range [1, {self._ones}]")
-        lo = self._samples[(j - 1) // _SELECT_SAMPLE]
-        hi_idx = (j - 1) // _SELECT_SAMPLE + 1
-        hi = self._samples[hi_idx] if hi_idx < len(self._samples) else len(self._words) - 1
-        # smallest word w in [lo, hi] with _cum(w + 1) >= j
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum(mid + 1) >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = j - self._cum(lo)
-        return lo * _WORD + _kth_one_in_word(self._words[lo], k) + 1
+        if not 1 <= j <= self._cum[-1]:
+            raise ValueError(f"select argument {j} out of range [1, {self._cum[-1]}]")
+        w = bisect_left(self._cum, j) - 1  # the word holding it: _cum[w] < j <= _cum[w + 1]
+        return w * _WORD + _kth_one_in_word(self._words[w], j - self._cum[w]) + 1
 
     def to01(self) -> str:
         """The bits as a '0'/'1' string, leftmost = position 1."""
-        out = []
-        for w, word in enumerate(self._words):
-            width = min(_WORD, self._n - w * _WORD)
-            out.append(format(word, "b").zfill(_WORD)[::-1][:width])
-        return "".join(out)
+        return "".join(format(word, "064b")[::-1] for word in self._words)[: self._n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
@@ -172,11 +102,15 @@ class BitVector:
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BitVector", int]:
-        """Decode a bitvector from `data` at `offset`; directories are rebuilt."""
+        """Decode a bitvector from `data` at `offset`; returns it and the offset after it."""
         (n,) = struct.unpack_from("<Q", data, offset)
         offset += 8
         nwords = (n + _WORD - 1) // _WORD
         if offset + 8 * nwords > len(data):
             raise ValueError(f"bitvector of {n} bits runs past the end of the data")
         words = list(struct.unpack_from(f"<{nwords}Q", data, offset))
-        return cls._from_words(n, words), offset + 8 * nwords
+        if n % _WORD and words[-1] >> (n % _WORD):
+            raise ValueError(f"bitvector of {n} bits has ones past its end")
+        bv = cls.__new__(cls)
+        bv._set(n, words)
+        return bv, offset + 8 * nwords

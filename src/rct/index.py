@@ -348,9 +348,8 @@ class RCTIndex:
 
         Snapshot hits in the region grown by the distance an object can
         cover since the snapshot, plus the period's mid-period arrivals.
+        `region` must meet the grid (see `_off_grid`).
         """
-        if self._off_grid(region):
-            return set()
         q = t // self.period
         found = set(self.appearances_.get(q, ()))
         snapshot = self._snapshot_of.get(q)
@@ -394,7 +393,7 @@ class RCTIndex:
             sub_a = max(a, q * self.period)
             sub_b = min(b, (q + 1) * self.period - 1)
             # objects inside at some t in [sub_a, sub_b] are candidates at sub_b
-            for oid in sorted(self._slice_candidates(region, sub_b)):
+            for oid in self._slice_candidates(region, sub_b):
                 if oid in found:
                     continue
                 if self._hits_region_during(self.logs_[oid], region, sub_a, sub_b):

@@ -12,29 +12,29 @@ from .rmq import compact
 class Snapshot:
     """Spatial record of every active object at one timestamp.
 
-    The occupancy matrix is a k2-tree: `tree_bits` holds the internal
-    levels in breadth-first order, `leaf_bits` the single-cell level.
+    The occupancy matrix is a k2-tree whose levels sit breadth-first in
+    one bitmap `bits`, the single-cell level last: the children of the
+    i-th 1 start at bit i * k^2, and every 1 above the cell level has k^2
+    children, so len(bits) = k^2 * (1 + ones above the cell level).
     Object ids sit in `cell_ids`, grouped per occupied cell in traversal
     (Morton) order; `run_starts` has a 1 at the first id of each cell run.
     """
 
-    __slots__ = ("timestamp", "side", "k", "tree_bits", "leaf_bits", "run_starts", "cell_ids")
+    __slots__ = ("timestamp", "side", "k", "bits", "run_starts", "cell_ids")
 
     def __init__(
         self,
         timestamp: int,
         side: int,
         k: int,
-        tree_bits: BitVector,
-        leaf_bits: BitVector,
+        bits: BitVector,
         run_starts: BitVector,
         cell_ids: Sequence[int],
     ):
         self.timestamp = timestamp
         self.side = side
         self.k = k
-        self.tree_bits = tree_bits
-        self.leaf_bits = leaf_bits
+        self.bits = bits
         self.run_starts = run_starts
         self.cell_ids = cell_ids
 
@@ -55,10 +55,11 @@ class Snapshot:
         x1, y1 = max(x1, 0), max(y1, 0)
         x2, y2 = min(x2, self.side - 1), min(y2, self.side - 1)
         out: set[tuple[int, int, int]] = set()
-        if x1 > x2 or y1 > y2 or len(self.leaf_bits) == 0:
+        if x1 > x2 or y1 > y2:
             return out
-        k = self.k
-        n_tree = len(self.tree_bits)
+        k, bits = self.k, self.bits
+        # rank1 of a cell's bit minus this is the cell's ordinal
+        above_cells = len(bits) // (k * k) - 1
         # stack entries: (first child bit position, cell origin, node size)
         stack = [(0, 0, 0, self.side)]
         while stack:
@@ -72,17 +73,35 @@ class Snapshot:
                     cx = ox + c * sub
                     if cx > x2 or cx + sub - 1 < x1:
                         continue
-                    q = base + r * k + c
-                    if q < n_tree:
-                        if self.tree_bits.access(q + 1):
-                            stack.append((self.tree_bits.rank1(q + 1) * k * k, cx, cy, sub))
+                    q = base + r * k + c + 1
+                    if not bits.access(q):
+                        continue
+                    if sub == 1:
+                        for oid in self._ids_at(bits.rank1(q) - above_cells):
+                            out.add((oid, cx, cy))
                     else:
-                        leaf = q - n_tree
-                        if self.leaf_bits.access(leaf + 1):
-                            ordinal = self.leaf_bits.rank1(leaf + 1)
-                            for oid in self._ids_at(ordinal):
-                                out.add((oid, cx, cy))
+                        stack.append((bits.rank1(q) * k * k, cx, cy, sub))
         return out
+
+    def check_shape(self) -> None:
+        """Raise ValueError unless the bitmaps and ids fit `side` and `k` together."""
+        kk, bits = self.k * self.k, self.bits
+        end, above = kk, 0  # where the current level ends; the ones before it
+        size = self.side
+        while size > self.k:  # each level above the cells sets the next one's length
+            if end > len(bits):
+                raise ValueError(f"k2-tree bitmap of {len(bits)} bits ends inside the level of side {size}")
+            ones = bits.rank1(end)
+            end, above = end + kk * (ones - above), ones
+            size //= self.k
+        if end != len(bits):
+            raise ValueError(f"k2-tree bitmap has {len(bits)} bits where its levels need {end}")
+        cells = bits.ones - above
+        runs = self.run_starts
+        if len(runs) != len(self.cell_ids) or runs.ones != cells or (len(runs) and not runs.access(1)):
+            raise ValueError(
+                f"{cells} occupied cells, but {runs.ones} id runs in {len(runs)} bits over {len(self.cell_ids)} ids"
+            )
 
 
 def grid_side(grid: tuple[int, int], k: int) -> int:
@@ -117,8 +136,7 @@ def build_snapshot(
         seen_ids.add(oid)
 
     side = grid_side(grid, k)
-    tree_bits: list[int] = []
-    leaf_bits: list[int] = []
+    bits: list[int] = []
     run_starts: list[int] = []
     cell_ids: list[int] = []
     queue: deque = deque([(0, 0, side, pts)])
@@ -130,23 +148,21 @@ def build_snapshot(
             _, x, y = p
             buckets[((y - oy) // sub) * k + ((x - ox) // sub)].append(p)
         for idx, bucket in enumerate(buckets):
+            bits.append(1 if bucket else 0)
+            if not bucket:
+                continue
             if sub == 1:
-                leaf_bits.append(1 if bucket else 0)
-                if bucket:
-                    ids = sorted(oid for oid, _, _ in bucket)
-                    run_starts.extend([1] + [0] * (len(ids) - 1))
-                    cell_ids.extend(ids)
+                ids = sorted(oid for oid, _, _ in bucket)
+                run_starts.extend([1] + [0] * (len(ids) - 1))
+                cell_ids.extend(ids)
             else:
-                tree_bits.append(1 if bucket else 0)
-                if bucket:
-                    r, c = divmod(idx, k)
-                    queue.append((ox + c * sub, oy + r * sub, sub, bucket))
+                r, c = divmod(idx, k)
+                queue.append((ox + c * sub, oy + r * sub, sub, bucket))
     return Snapshot(
         timestamp,
         side,
         k,
-        BitVector(tree_bits),
-        BitVector(leaf_bits),
+        BitVector(bits),
         BitVector(run_starts),
         compact(cell_ids),
     )

@@ -1,4 +1,4 @@
-"""Binary index file, format v3: magic RCT1, little-endian scalars, raw columns.
+"""Binary index file, format v4: magic RCT1, little-endian scalars, raw columns.
 
 A column is its typecode (one ASCII byte: b/B, h/H, i/I or q/Q for 8-,
 16-, 32- and 64-bit signed/unsigned), its length as a u64, then its items
@@ -25,7 +25,7 @@ from .rlz import PhraseTable, TrajectoryLog
 from .rmq import compact
 
 MAGIC = b"RCT1"
-VERSION = 3
+VERSION = 4
 _HEAD = struct.Struct("<4sH")
 _CRC = struct.Struct("<I")
 _TYPECODES = frozenset("bBhHiIqQ")
@@ -94,9 +94,9 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
     Layout after the header: the reference (alphabet dx, dy and step ids),
     the objects (id, start time, start x, start y, move count, phrase
     count), the eight PhraseTable columns, the snapshots (their periods,
-    then three bitvectors and the cell ids each), the appearance lists
-    (periods, list lengths, ids) and the CRC-32 trailer.  Snapshot
-    timestamps and sides follow from the periods and the header.
+    then the k2-tree bitmap, the id-run bitmap and the cell ids each), the
+    appearance lists (periods, list lengths, ids) and the CRC-32 trailer.
+    Snapshot timestamps and sides follow from the periods and the header.
     """
     index._check_fitted()
     frac = _as_fraction(index.ref_fraction)
@@ -118,8 +118,7 @@ def save_index(index: RCTIndex, target: Union[str, Path, io.BufferedIOBase]) -> 
         _write_column(out, column)
     _write_column(out, [sn.timestamp // index.period for sn in index.snapshots_])
     for sn in index.snapshots_:
-        out.extend(sn.tree_bits.to_bytes())
-        out.extend(sn.leaf_bits.to_bytes())
+        out.extend(sn.bits.to_bytes())
         out.extend(sn.run_starts.to_bytes())
         _write_column(out, sn.cell_ids)
     periods = sorted(index.appearances_)
@@ -179,6 +178,8 @@ def _decode(data: bytes) -> RCTIndex:
     phrases = PhraseTable(r.columns(len(PhraseTable.COLUMNS)))
     if len(phrases) != sum(phrase_counts):
         raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(phrase_counts)} phrases")
+    if phrases.starts and not (1 <= min(phrases.starts) and max(phrases.starts) <= len(reference)):
+        raise IndexFormatError(f"phrase starts outside the reference of length {len(reference)}")
     logs = {}
     base = 0
     for oid, t0, x0, y0, n, z in zip(object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts):
@@ -188,12 +189,15 @@ def _decode(data: bytes) -> RCTIndex:
     side = grid_side((max_x, max_y), k)
     snapshots = []
     for q in r.column():
-        tree_bits, leaf_bits, run_starts = r.bitvector(), r.bitvector(), r.bitvector()
-        snapshots.append(Snapshot(q * period, side, k, tree_bits, leaf_bits, run_starts, r.column()))
+        snapshot = Snapshot(q * period, side, k, r.bitvector(), r.bitvector(), r.column())
+        snapshot.check_shape()
+        _check_ids("snapshot", snapshot.cell_ids, logs)
+        snapshots.append(snapshot)
 
     periods, lengths, ids = r.columns(2) + [r.column()]
     if sum(lengths) != len(ids):
         raise IndexFormatError(f"appearance lists of {sum(lengths)} ids hold {len(ids)}")
+    _check_ids("appearance", ids, logs)
     appearances = {}
     at = 0
     for q, size in zip(periods, lengths):
@@ -206,3 +210,9 @@ def _decode(data: bytes) -> RCTIndex:
     t_max = max((log.end_time for log in logs.values()), default=0)
     index._adopt((max_x, max_y), max_speed, t_max, reference, phrases, logs, snapshots, appearances)
     return index
+
+
+def _check_ids(where: str, ids, logs: dict) -> None:
+    if not all(map(logs.__contains__, ids)):
+        unknown = sorted(set(ids) - logs.keys())
+        raise IndexFormatError(f"{where} ids {unknown[:3]} name no object")

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -114,6 +115,41 @@ def test_serialization_roundtrip():
         assert consumed == len(data)
         assert back == bv
         assert back.to01() == bv.to01()
+        # the index loader decodes from a memoryview over the whole file
+        inside = memoryview(b"\xff" * 5 + data + b"\xee" * 3)
+        back, end = BitVector.from_bytes(inside, 5)
+        assert end == 5 + len(data)
+        assert back == bv
+        assert [back.rank1(i) for i in range(n + 1)] == [bv.rank1(i) for i in range(n + 1)]
+
+
+def test_from_bytes_rejects_ones_past_the_end():
+    assert BitVector.from_bytes(struct.pack("<QQ", 3, 0b101))[0].to01() == "101"
+    for n, word in ((3, 0b1000), (63, 1 << 63), (1, 2)):
+        with pytest.raises(ValueError, match="past its end"):
+            BitVector.from_bytes(struct.pack("<QQ", n, word))
+
+
+@pytest.mark.parametrize("tail", [0, 1, 63])
+@pytest.mark.parametrize(
+    "ones",
+    [
+        [1, 64, 65, 128, 129],  # first and last bit of words
+        [1, 4 * 64 + 1],  # three all-zero words between
+        [64, 5 * 64 + 64, 9 * 64 + 1, 9 * 64 + 2],  # four and three all-zero words between
+        [],
+    ],
+)
+def test_word_edges_and_zero_words(ones, tail):
+    n = max(ones, default=0) + tail
+    bits = [0] * n
+    for pos in ones:
+        bits[pos - 1] = 1
+    bv = BitVector(bits)
+    assert bv.ones == len(ones)
+    assert [bv.rank1(i) for i in range(n + 1)] == [sum(bits[:i]) for i in range(n + 1)]
+    assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
+    assert [bv.access(i) for i in range(1, n + 1)] == bits
 
 
 def test_rejects_non_bits():

@@ -116,6 +116,9 @@ def test_candidate_completeness():
             region = random_region(rng, (255, 255))
             t = rng.randint(0, idx.t_max_)
             reported = {oid for oid, _, _ in store.time_slice(region, t)}
+            if idx._off_grid(region):  # the queries return early; _slice_candidates is not asked
+                assert reported == set()
+                continue
             assert reported <= idx._slice_candidates(region, t)
 
 

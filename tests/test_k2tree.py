@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import random_region
-from rct import Region, build_snapshot
+from rct import BitVector, Region, Snapshot, build_snapshot
 
 
 def naive_filter(points, region):
@@ -57,20 +57,45 @@ def test_region_exceeding_grid_is_clipped():
     assert sn.report_region(Region(0, 0, 1000, 1000)) == {(1, 2, 2)}
 
 
+def roundtrip(sn):
+    """The snapshot rebuilt from its encoded bitmaps, as the index loader does."""
+    data = sn.bits.to_bytes() + sn.run_starts.to_bytes()
+    bits, at = BitVector.from_bytes(data)
+    back = Snapshot(sn.timestamp, sn.side, sn.k, bits, BitVector.from_bytes(data, at)[0], sn.cell_ids)
+    back.check_shape()
+    return back
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_against_naive_filter(k):
     rng = random.Random(k * 17)
-    for _ in range(300):
-        max_x = rng.randint(0, 300)
-        max_y = rng.randint(0, 300)
+    # grids up to 300, then grids of side k, whose root children are cells already
+    for max_coord in [300] * 300 + [k - 1] * 30:
+        max_x = rng.randint(0, max_coord)
+        max_y = rng.randint(0, max_coord)
         n = rng.randint(0, 60)
         points = [
             (oid, rng.randint(0, max_x), rng.randint(0, max_y)) for oid in range(n)
         ]
         sn = build_snapshot(points, (max_x, max_y), k=k)
+        back = roundtrip(sn)
         for _ in range(4):
             region = random_region(rng, (max_x, max_y))
             assert sn.report_region(region) == naive_filter(points, region)
+            assert back.report_region(region) == naive_filter(points, region)
+
+
+def test_k3_child_groups_across_word_boundaries():
+    # every cell of a 27 x 27 grid occupied: 9 + 81 + 729 bits, and the 9-bit
+    # child groups starting at bits 63, 126, 189, ... cross a 64-bit word edge
+    points = [(oid, oid % 27, oid // 27) for oid in range(27 * 27)] + [(1000, 13, 13), (1001, 26, 0)]
+    sn = build_snapshot(points, (26, 26), k=3)
+    assert len(sn.bits) == 9 + 81 + 729
+    rng = random.Random(5)
+    for snapshot in (sn, roundtrip(sn)):
+        for _ in range(200):
+            region = random_region(rng, (26, 26))
+            assert snapshot.report_region(region) == naive_filter(points, region)
 
 
 def test_monotone_and_partition_properties():

@@ -1,5 +1,6 @@
 import io
 import random
+from array import array
 
 import pytest
 
@@ -61,7 +62,7 @@ def test_bad_version_rejected(tmp_path):
     buf = io.BytesIO()
     save_index(idx, buf)
     data = bytearray(buf.getvalue())
-    for version in (1, 2, 99):  # 1: before the raw columns; 2: before the checksum
+    for version in (1, 2, 3, 99):  # 1: before the raw columns; 2: before the checksum; 3: two k2-tree bitmaps
         data[4:6] = version.to_bytes(2, "little")
         with pytest.raises(IndexFormatError, match="rebuild"):
             load_index(io.BytesIO(bytes(data)))
@@ -79,7 +80,7 @@ def test_fraction_survives_roundtrip():
 def test_every_truncation_fails_cleanly(tmp_path, capsys):
     # cutting at every prefix length of a small index cuts at every section
     # boundary and inside every section
-    rng = random.Random(61)  # 4 objects, 11 phrases, 2 appearance lists: 666 bytes
+    rng = random.Random(61)  # 4 objects, 11 phrases, 2 appearance lists: 626 bytes
     idx = RCTIndex(period=4).fit(make_dataset(rng, max_objects=4, max_duration=40))
     buf = io.BytesIO()
     save_index(idx, buf)
@@ -146,7 +147,7 @@ def test_load_builds_nothing_per_object(monkeypatch):
         buf = io.BytesIO()
         save_index(RCTIndex(period=8).fit(fleet), buf)
         counts.append(_bitvectors_built_by_load(monkeypatch, buf.getvalue()))
-    assert counts[0] == counts[1] == 3 * 6  # three bitvectors per snapshot, t = 0, 8, ..., 40
+    assert counts[0] == counts[1] == 2 * 6  # two bitvectors per snapshot, t = 0, 8, ..., 40
 
 
 def test_load_keeps_the_saved_columns():
@@ -159,3 +160,68 @@ def test_load_keeps_the_saved_columns():
     for fitted, loaded in pairs:
         assert loaded.typecode == fitted.typecode
         assert loaded == fitted
+
+
+def _cut_bitmap(idx):
+    sn = idx.snapshots_[0]
+    sn.bits = BitVector(sn.bits.to01()[:4])
+
+
+def _padded_bitmap(idx):
+    sn = idx.snapshots_[0]
+    sn.bits = BitVector(sn.bits.to01() + "0000")
+
+
+def _drop_cell_id(idx):
+    sn = idx.snapshots_[0]
+    sn.cell_ids = sn.cell_ids[:-1]
+
+
+def _unknown_cell_id(idx):
+    sn = idx.snapshots_[0]
+    sn.cell_ids = [max(idx.logs_) + 1] + list(sn.cell_ids[1:])
+
+
+def _unknown_appearance_id(idx):
+    q = min(idx.appearances_)
+    idx.appearances_[q] = idx.appearances_[q] + [max(idx.logs_) + 1]
+
+
+def _run_start_moved(idx):
+    # the same number of id runs, but the first id starts none
+    sn = next(sn for sn in idx.snapshots_ if len(sn.cell_ids) > sn.run_starts.ones)
+    bits = sn.run_starts.to01()
+    sn.run_starts = BitVector("0" + bits[1:bits.index("0", 1)] + "1" + bits[bits.index("0", 1) + 1:])
+
+
+def _start_past_reference(idx):
+    starts = array("q", idx.phrases_.starts)
+    starts[len(starts) // 2] = len(idx.reference_) + 1
+    idx.phrases_.starts = starts
+
+
+def _start_zero(idx):
+    starts = array("q", idx.phrases_.starts)
+    starts[0] = 0
+    idx.phrases_.starts = starts
+
+
+@pytest.mark.parametrize(
+    "craft",
+    [_cut_bitmap, _padded_bitmap, _drop_cell_id, _unknown_cell_id, _unknown_appearance_id, _run_start_moved,
+     _start_past_reference, _start_zero],
+)
+def test_crafted_files_are_rejected(craft, tmp_path, capsys):
+    # each file is well formed, with a matching checksum, but its parts do not fit together
+    rng = random.Random(65)
+    trajs = [Trajectory(oid, rng.choice([0, 3, 5]), [(rng.randint(0, 40), rng.randint(0, 40))] * 30)
+             for oid in range(12)]
+    trajs.append(Trajectory(12, 0, list(trajs[0].positions)))  # shares a cell with object 0
+    idx = RCTIndex(period=4).fit(trajs)
+    craft(idx)
+    path = tmp_path / "crafted.rct"
+    idx.save(path)
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+    assert main(["query", str(path), "search-object", "--id", "0", "--t", "0"]) == 2
+    assert "data error" in capsys.readouterr().err
