@@ -184,9 +184,9 @@ def _bench_queries(index: RCTIndex, workload: str, count: int, seed: int):
 
 
 def _cmd_bench(args) -> int:
-    index = load_index(args.index_file)
     if args.queries < 0:
         raise ValueError("--queries must be >= 0")
+    index = load_index(args.index_file)
     queries = _bench_queries(index, args.workload, args.queries, args.seed)
     latencies = []
     for q in queries:

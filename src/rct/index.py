@@ -387,28 +387,17 @@ class RCTIndex:
         b = min(t_end, self.t_max_)
         if a > b or self._off_grid(region):
             return []
-        found: set[int] = set()
         busy = self._busy_periods
+        candidates: set[int] = set()
         for q in busy[bisect_left(busy, a // self.period) : bisect_right(busy, b // self.period)]:
-            sub_a = max(a, q * self.period)
-            sub_b = min(b, (q + 1) * self.period - 1)
-            # objects inside at some t in [sub_a, sub_b] are candidates at sub_b
-            for oid in self._slice_candidates(region, sub_b):
-                if oid in found:
-                    continue
-                if self._hits_region_during(self.logs_[oid], region, sub_a, sub_b):
-                    found.add(oid)
-        return sorted(found)
+            # objects inside at some t of the period's part of [a, b] are candidates at its end
+            candidates |= self._slice_candidates(region, min(b, (q + 1) * self.period - 1))
+        return sorted(oid for oid in candidates if self._hits_region_during(self.logs_[oid], region, a, b))
 
     # -- time-interval candidate verification --------------------------------
 
     def _hits_region_during(self, log: TrajectoryLog, region: Region, a: int, b: int) -> bool:
-        """Whether the object's position enters `region` at some t in [a, b].
-
-        Works on the fully covered phrase range first, recursively halving
-        it under MBB pruning; partially covered edge movements fall back to
-        binary search over the reference.
-        """
+        """Whether the object's position enters `region` at some t in [a, b]."""
         ta = max(a, log.start_time) - log.start_time
         tb = min(b, log.end_time) - log.start_time
         if ta > tb:
@@ -419,45 +408,29 @@ class RCTIndex:
             ta = 1
             if ta > tb:
                 return False
-        # first phrase starting at or after ta; last phrase ending at or before tb
-        ws = log.phrase_of(ta - 1) + 1
-        jb = log.phrase_of(tb)
-        we = jb if log.phrase_last(jb) <= tb else jb - 1
-        if ws > we:
-            return self._scan_movements(log, region, ta, tb)
-        t1 = log.phrase_first(ws)
-        t2 = log.phrase_last(we)
-        if self._check_phrases(log, region, ws, we):
-            return True
-        if ta < t1 and self._scan_movements(log, region, ta, t1 - 1):
-            return True
-        return t2 < tb and self._scan_movements(log, region, t2 + 1, tb)
+        return self._check_phrases(log, region, ta, tb, log.phrase_of(ta), log.phrase_of(tb))
 
-    def _check_phrases(self, log: TrajectoryLog, region: Region, ws: int, we: int) -> bool:
-        """Recursive halving over whole phrases using the per-phrase MBB arrays."""
+    def _check_phrases(self, log: TrajectoryLog, region: Region, ta: int, tb: int, ws: int, we: int) -> bool:
+        """Whether the object is inside `region` at some movement offset of [ta, tb].
+
+        Halves phrases ws..we under their bounding box.  Every phrase of the
+        range holds an offset of [ta, tb], so a box the region covers or
+        misses decides the answer; a single phrase it cannot decide is
+        clipped to [ta, tb] and searched on the reference.
+        """
         box = log.phrase_box(ws, we)
         if region.covers(box):
             return True
         if region.disjoint(box):
             return False
-        if ws == we:
-            return self._scan_movements(log, region, log.phrase_first(ws), log.phrase_last(ws))
-        mid = (ws + we) // 2
-        return self._check_phrases(log, region, ws, mid) or self._check_phrases(
-            log, region, mid + 1, we
-        )
-
-    def _scan_movements(self, log: TrajectoryLog, region: Region, lo: int, hi: int) -> bool:
-        """Check movement offsets [lo, hi], chunked per phrase, on the reference."""
-        u = lo
-        while True:
-            j, ri = log.locate(u)
-            v = min(hi, log.phrase_last(j))
-            if self._check_reference(region, log.position_at(self.reference_, u - 1), ri, ri + v - u):
-                return True
-            if v == hi:
-                return False
-            u = v + 1
+        if ws < we:
+            mid = (ws + we) // 2
+            return self._check_phrases(log, region, ta, tb, ws, mid) or self._check_phrases(
+                log, region, ta, tb, mid + 1, we
+            )
+        lo, hi = max(ta, log.phrase_first(ws)), min(tb, log.phrase_last(ws))
+        _, ri = log.locate(lo)
+        return self._check_reference(region, log.position_at(self.reference_, lo - 1), ri, ri + hi - lo)
 
     def _check_reference(self, region: Region, base: tuple[int, int], ri: int, rj: int) -> bool:
         """Binary search over reference steps [ri, rj]; `base` is the position at step ri-1."""

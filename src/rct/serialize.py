@@ -183,6 +183,10 @@ def _decode(data: bytes) -> RCTIndex:
     logs = {}
     base = 0
     for oid, t0, x0, y0, n, z in zip(object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts):
+        if not (0 < z <= n or z == n == 0):
+            raise IndexFormatError(f"object {oid}: {z} phrases for {n} moves")
+        if z and not (phrases.firsts[base] == 1 and phrases.firsts[base + z - 1] <= n):
+            raise IndexFormatError(f"object {oid}: phrases do not begin at move 1 and end by move {n}")
         logs[oid] = TrajectoryLog(oid, t0, (x0, y0), n, z, phrases, base)
         base += z
 

@@ -193,6 +193,11 @@ def test_bench_zero_queries(fleet_csv, tmp_path, capsys):
     assert code == 0 and "count=0" in out
 
 
+def test_bench_checks_queries_before_loading(tmp_path, capsys):
+    code, _, err = run(capsys, "bench", str(tmp_path / "missing.rct"), "--queries", "-1")
+    assert code == 1 and "--queries" in err
+
+
 def test_bench_same_seed_same_queries(fleet_csv, tmp_path, capsys):
     out_path = tmp_path / "fleet.rct"
     run(capsys, "build", str(fleet_csv), str(out_path))

@@ -129,15 +129,30 @@ def test_candidate_verification_matches_scan():
         idx = RCTIndex(period=8).fit(trajs)
         for tr in trajs:
             log = idx.logs_[tr.object_id]
-            for _ in range(25):
-                region = random_region(rng, (127, 127), tight=rng.random() < 0.5)
-                a = rng.randint(0, idx.t_max_)
-                b = rng.randint(a, idx.t_max_)
+
+            def check(region, a, b):
                 expected = any(
                     region.contains(*tr.positions[t - tr.start_time])
                     for t in range(max(a, tr.start_time), min(b, tr.end_time) + 1)
                 )
-                assert idx._hits_region_during(log, region, a, b) == expected
+                assert idx._hits_region_during(log, region, a, b) == expected, (region, a, b)
+
+            for _ in range(25):
+                region = random_region(rng, (127, 127), tight=rng.random() < 0.5)
+                a = rng.randint(0, idx.t_max_)
+                check(region, a, rng.randint(a, idx.t_max_))
+            # one-cell regions on visited positions, and spans ending on either side of
+            # a phrase boundary, so that the descent ends in a phrase clipped to the span
+            for j in rng.sample(range(1, log.phrase_count + 1), min(6, log.phrase_count)):
+                first, last = log.phrase_first(j), log.phrase_last(j)
+                ends = sorted({tr.start_time + t for t in (first - 1, first, last, last + 1)})
+                for offset in {first, (first + last) // 2, last}:
+                    region = Region(*tr.positions[offset], *tr.positions[offset])
+                    t = tr.start_time + offset
+                    for a in ends + [t - 1, t, t + 1]:
+                        for b in ends + [t - 1, t, t + 1]:
+                            if a <= b:
+                                check(region, a, b)
 
 
 QUERY_MIX = ("search", "trajectory", "slice", "interval")

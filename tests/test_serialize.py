@@ -206,10 +206,23 @@ def _start_zero(idx):
     idx.phrases_.starts = starts
 
 
+def _first_phrase_not_at_one(idx):
+    firsts = array("q", idx.phrases_.firsts)
+    firsts[idx.logs_[0].base] = 2
+    idx.phrases_.firsts = firsts
+
+
+def _last_phrase_past_moves(idx):
+    log = idx.logs_[0]
+    firsts = array("q", idx.phrases_.firsts)
+    firsts[log.base + log.phrase_count - 1] = log.move_count + 1
+    idx.phrases_.firsts = firsts
+
+
 @pytest.mark.parametrize(
     "craft",
     [_cut_bitmap, _padded_bitmap, _drop_cell_id, _unknown_cell_id, _unknown_appearance_id, _run_start_moved,
-     _start_past_reference, _start_zero],
+     _start_past_reference, _start_zero, _first_phrase_not_at_one, _last_phrase_past_moves],
 )
 def test_crafted_files_are_rejected(craft, tmp_path, capsys):
     # each file is well formed, with a matching checksum, but its parts do not fit together
