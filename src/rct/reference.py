@@ -8,7 +8,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitvec import BitVector
-from .rmq import MAX, MIN, RangeExtremumIndex, compact
+from .rmq import compact
 
 MovementSymbol = tuple[int, int]  # (dx, dy) displacement of one timestep
 MovementSequence = Sequence[MovementSymbol]
@@ -37,8 +37,8 @@ class Reference:
     """Artificial movement sequence plus the overlays answering movement and mbb.
 
     `cum_x[t]`/`cum_y[t]` are the cumulative displacement after the first t
-    steps (`cum[0] = 0`), so `movement` is four lookups, and `mbb` is a
-    range minimum and maximum per axis, from one RangeExtremumIndex each,
+    steps (`cum[0] = 0`), so `movement` is four lookups, and `mbb` is the
+    minimum and maximum of each axis's cumulative run over its steps,
     minus `cum[i-1]`.  The paper's unary bitmaps `x_pos`, `x_neg`, `y_pos`
     and `y_neg` (per step, its magnitude on that axis and sign in zeros,
     then a 1) are derived on first access; no query reads them.
@@ -49,10 +49,6 @@ class Reference:
         "ids",
         "cum_x",
         "cum_y",
-        "_x_min",
-        "_x_max",
-        "_y_min",
-        "_y_max",
         "_sym_id",
         "_bitmaps",
     )
@@ -77,10 +73,6 @@ class Reference:
         self._bitmaps = None
         self.cum_x = _cumulative([dx for dx, _ in alphabet], ids)
         self.cum_y = _cumulative([dy for _, dy in alphabet], ids)
-        self._x_min = RangeExtremumIndex(self.cum_x, MIN)
-        self._x_max = RangeExtremumIndex(self.cum_x, MAX)
-        self._y_min = RangeExtremumIndex(self.cum_y, MIN)
-        self._y_max = RangeExtremumIndex(self.cum_y, MAX)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -105,20 +97,14 @@ class Reference:
     def mbb(self, i: int, j: int) -> RelativeMBB:
         """Per-axis extrema of movement(i-1, t) over t in [i..j].
 
-        Row t of the cumulative arrays is position t + 1 of their extremum
-        indexes, so steps i..j are the range [i + 1, j + 1].
+        A scan of cumulative rows i..j, so O(j - i): the index asks only
+        for steps of one phrase, clipped to the query's time span.
         """
         if not 1 <= i <= j <= len(self.ids):
             raise ValueError(f"invalid mbb range ({i}, {j}) for reference of length {len(self.ids)}")
-        cx, cy = self.cum_x, self.cum_y
-        bx, by = cx[i - 1], cy[i - 1]
-        a, b = i + 1, j + 1
-        return RelativeMBB(
-            x_min=cx[self._x_min.query(a, b) - 1] - bx,
-            y_min=cy[self._y_min.query(a, b) - 1] - by,
-            x_max=cx[self._x_max.query(a, b) - 1] - bx,
-            y_max=cy[self._y_max.query(a, b) - 1] - by,
-        )
+        xs, ys = self.cum_x[i : j + 1], self.cum_y[i : j + 1]
+        bx, by = self.cum_x[i - 1], self.cum_y[i - 1]
+        return RelativeMBB(min(xs) - bx, min(ys) - by, max(xs) - bx, max(ys) - by)
 
     def _unary_bitmaps(self) -> tuple[BitVector, BitVector, BitVector, BitVector]:
         bitmaps = self._bitmaps

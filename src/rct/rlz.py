@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .reference import Reference
-from .rmq import MAX, MIN, RangeExtremumIndex, compact
+from .rmq import compact
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,14 @@ def suffix_array(seq: Sequence) -> list[int]:
 class ReferenceMatcher:
     """Longest-prefix searcher over a fixed sequence, for repeated parsing.
 
-    Holds a suffix array plus a range-minimum table over it so that the
-    smallest reference position among equal-length matches comes out in
-    O(1) (deterministic tie-breaking).
+    Holds a suffix array; the smallest reference position among the
+    equal-length matches a phrase ends on is the minimum of their short
+    run of suffix array entries (deterministic tie-breaking).
     """
 
     def __init__(self, seq: Sequence):
         self._seq = list(seq)
         self._sa = suffix_array(self._seq)
-        self._min_pos = RangeExtremumIndex(self._sa, MIN) if self._sa else None
         self._alphabet = set(self._seq)
 
     def __len__(self) -> int:
@@ -102,7 +101,7 @@ class ReferenceMatcher:
                 if nlo >= nhi:
                     break
                 lo, hi, length = nlo, nhi, length + 1
-            start = self._sa[self._min_pos.query(lo + 1, hi) - 1] + 1
+            start = min(self._sa[lo:hi]) + 1
             phrases.append(Phrase(start, length))
             q += length
         return phrases
@@ -127,20 +126,17 @@ class PhraseTable:
     `prev_x[k]`/`prev_y[k]` the absolute position just before it, and
     `x_min[k]`..`y_max[k]` the bounding box of the positions reached during
     it.  Rows are appended while logs are built; `seal()` then narrows
-    every column to its compact typecode and builds one RangeExtremumIndex
-    per extrema column, which `box` needs.
+    every column to its compact typecode.  `box` scans the extrema columns
+    over its rows, O(b - a): a query asks only for phrases of its time span.
     """
 
     COLUMNS = ("starts", "firsts", "prev_x", "prev_y", "x_min", "y_min", "x_max", "y_max")
-    __slots__ = COLUMNS + ("_extrema",)
+    __slots__ = COLUMNS
 
     def __init__(self, columns: Optional[Sequence[Sequence[int]]] = None):
         """Empty, or sealed over the eight COLUMNS given in order, which are narrow already."""
         for name, column in zip(self.COLUMNS, columns or [[] for _ in self.COLUMNS]):
             setattr(self, name, column)
-        self._extrema: tuple[RangeExtremumIndex, ...] = ()
-        if columns is not None:
-            self._index_extrema()
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -156,25 +152,15 @@ class PhraseTable:
     def seal(self) -> None:
         for name in self.COLUMNS:
             setattr(self, name, compact(getattr(self, name)))
-        self._index_extrema()
-
-    def _index_extrema(self) -> None:
-        if len(self):
-            self._extrema = (
-                RangeExtremumIndex(self.x_min, MIN),
-                RangeExtremumIndex(self.y_min, MIN),
-                RangeExtremumIndex(self.x_max, MAX),
-                RangeExtremumIndex(self.y_max, MAX),
-            )
 
     def box(self, a: int, b: int) -> tuple[int, int, int, int]:
         """Bounding box of every position reached during rows a..b (1-based, inclusive)."""
-        x_min, y_min, x_max, y_max = self._extrema
+        a -= 1
         return (
-            self.x_min[x_min.query(a, b) - 1],
-            self.y_min[y_min.query(a, b) - 1],
-            self.x_max[x_max.query(a, b) - 1],
-            self.y_max[y_max.query(a, b) - 1],
+            min(self.x_min[a:b]),
+            min(self.y_min[a:b]),
+            max(self.x_max[a:b]),
+            max(self.y_max[a:b]),
         )
 
 

@@ -39,6 +39,8 @@ class RangeExtremumIndex:
     the whole blocks inside a range, while builtin min/max scans the
     partial blocks at its two ends.  The table takes O(n/32 log n) entries.
     `values` (a list or array) is shared, not copied, and must not change.
+    A public building block: the index itself builds none, since its
+    ranges are short enough that builtin min/max over a slice is faster.
     """
 
     __slots__ = ("values", "mode", "_pick", "_table")

@@ -14,6 +14,8 @@ import sys
 import zlib
 from array import array
 from fractions import Fraction
+from itertools import chain
+from operator import add, lt, sub
 from pathlib import Path
 from typing import Union
 
@@ -178,15 +180,13 @@ def _decode(data: bytes) -> RCTIndex:
     phrases = PhraseTable(r.columns(len(PhraseTable.COLUMNS)))
     if len(phrases) != sum(phrase_counts):
         raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(phrase_counts)} phrases")
-    if phrases.starts and not (1 <= min(phrases.starts) and max(phrases.starts) <= len(reference)):
-        raise IndexFormatError(f"phrase starts outside the reference of length {len(reference)}")
     logs = {}
     base = 0
     for oid, t0, x0, y0, n, z in zip(object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts):
         if not (0 < z <= n or z == n == 0):
             raise IndexFormatError(f"object {oid}: {z} phrases for {n} moves")
-        if z and not (phrases.firsts[base] == 1 and phrases.firsts[base + z - 1] <= n):
-            raise IndexFormatError(f"object {oid}: phrases do not begin at move 1 and end by move {n}")
+        if z:
+            _check_phrases(oid, phrases.firsts[base : base + z], phrases.starts[base : base + z], n, len(reference))
         logs[oid] = TrajectoryLog(oid, t0, (x0, y0), n, z, phrases, base)
         base += z
 
@@ -214,6 +214,18 @@ def _decode(data: bytes) -> RCTIndex:
     t_max = max((log.end_time for log in logs.values()), default=0)
     index._adopt((max_x, max_y), max_speed, t_max, reference, phrases, logs, snapshots, appearances)
     return index
+
+
+def _check_phrases(oid: int, firsts: array, starts: array, n: int, m: int) -> None:
+    """Check that one object's phrases begin at increasing moves from move 1 up to
+    move n, and that each copies only steps 1..m of the reference.
+    """
+    nexts = firsts[1:]  # where the phrase after each begins; n + 1 after the last
+    if firsts[0] != 1 or not all(map(lt, firsts, chain(nexts, (n + 1,)))):
+        raise IndexFormatError(f"object {oid}: phrases do not begin at move 1 and at increasing moves up to {n}")
+    # phrase k copies steps starts[k] .. starts[k] + (nexts[k] - firsts[k]) - 1
+    if min(starts) < 1 or max(map(add, starts, map(sub, chain(nexts, (n + 1,)), firsts))) > m + 1:
+        raise IndexFormatError(f"object {oid}: phrases copy steps outside the reference of length {m}")
 
 
 def _check_ids(where: str, ids, logs: dict) -> None:

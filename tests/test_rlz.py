@@ -209,3 +209,8 @@ def test_logs_sharing_one_table_stay_within_their_rows():
         for off in range(log.move_count + 1):
             assert log.phrase_of(off) == phrase_at[off]
             assert log.position_at(ref, off) == walk[off]
+        for ws in range(1, log.phrase_count + 1):
+            for we in range(ws, log.phrase_count + 1):
+                reached = walk[log.phrase_first(ws) : log.phrase_last(we) + 1]
+                xs, ys = [x for x, _ in reached], [y for _, y in reached]
+                assert log.phrase_box(ws, we) == (min(xs), min(ys), max(xs), max(ys))

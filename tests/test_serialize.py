@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from helpers import make_dataset, random_region
-from rct import BitVector, RCTIndex, Trajectory, load_index, save_index
+from rct import BitVector, RangeExtremumIndex, RCTIndex, Trajectory, load_index, save_index
 from rct.cli import main
 from rct.serialize import IndexFormatError
 
@@ -118,23 +118,29 @@ def test_every_copy_with_flipped_bits_is_rejected(tmp_path, capsys):
             assert "data error" in capsys.readouterr().err
 
 
-def _bitvectors_built_by_load(monkeypatch, data: bytes) -> int:
-    built = []
-    from_bytes, init = BitVector.from_bytes.__func__, BitVector.__init__
+def _built_by_load(monkeypatch, data: bytes) -> tuple[int, int]:
+    """How many bitvectors and range-extremum indexes loading `data` builds."""
+    bitvectors, extremum_indexes = [], []
+    from_bytes, init, rmq_init = BitVector.from_bytes.__func__, BitVector.__init__, RangeExtremumIndex.__init__
 
     def counted_from_bytes(cls, *args):
-        built.append(1)
+        bitvectors.append(1)
         return from_bytes(cls, *args)
 
     def counted_init(self, *args):
-        built.append(1)
+        bitvectors.append(1)
         init(self, *args)
+
+    def counted_rmq_init(self, *args):
+        extremum_indexes.append(1)
+        rmq_init(self, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(BitVector, "from_bytes", classmethod(counted_from_bytes))
         patch.setattr(BitVector, "__init__", counted_init)
+        patch.setattr(RangeExtremumIndex, "__init__", counted_rmq_init)
         load_index(io.BytesIO(data))
-    return len(built)
+    return len(bitvectors), len(extremum_indexes)
 
 
 def test_load_builds_nothing_per_object(monkeypatch):
@@ -146,8 +152,9 @@ def test_load_builds_nothing_per_object(monkeypatch):
                  for oid in range(objects)]
         buf = io.BytesIO()
         save_index(RCTIndex(period=8).fit(fleet), buf)
-        counts.append(_bitvectors_built_by_load(monkeypatch, buf.getvalue()))
-    assert counts[0] == counts[1] == 2 * 6  # two bitvectors per snapshot, t = 0, 8, ..., 40
+        counts.append(_built_by_load(monkeypatch, buf.getvalue()))
+    # two bitvectors per snapshot, t = 0, 8, ..., 40; boxes are scanned from the stored columns
+    assert counts[0] == counts[1] == (2 * 6, 0)
 
 
 def test_load_keeps_the_saved_columns():
@@ -219,10 +226,34 @@ def _last_phrase_past_moves(idx):
     idx.phrases_.firsts = firsts
 
 
+def _repeated_first(idx):
+    log = idx.logs_[0]
+    firsts = array("q", idx.phrases_.firsts)
+    firsts[log.base + 2] = firsts[log.base + 1]
+    idx.phrases_.firsts = firsts
+
+
+def _firsts_swapped(idx):
+    log = idx.logs_[0]
+    firsts = array("q", idx.phrases_.firsts)
+    firsts[log.base + 1], firsts[log.base + 2] = firsts[log.base + 2], firsts[log.base + 1]
+    idx.phrases_.firsts = firsts
+
+
+def _phrase_runs_past_reference(idx):
+    # a start inside the reference, but a phrase of several steps copies past its end
+    log = idx.logs_[0]
+    j = next(j for j in range(1, log.phrase_count + 1) if log.phrase_last(j) > log.phrase_first(j))
+    starts = array("q", idx.phrases_.starts)
+    starts[log.base + j - 1] = len(idx.reference_)
+    idx.phrases_.starts = starts
+
+
 @pytest.mark.parametrize(
     "craft",
     [_cut_bitmap, _padded_bitmap, _drop_cell_id, _unknown_cell_id, _unknown_appearance_id, _run_start_moved,
-     _start_past_reference, _start_zero, _first_phrase_not_at_one, _last_phrase_past_moves],
+     _start_past_reference, _start_zero, _first_phrase_not_at_one, _last_phrase_past_moves,
+     _repeated_first, _firsts_swapped, _phrase_runs_past_reference],
 )
 def test_crafted_files_are_rejected(craft, tmp_path, capsys):
     # each file is well formed, with a matching checksum, but its parts do not fit together
