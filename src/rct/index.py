@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .k2tree import build_snapshot
-from .reference import build_reference
+from .reference import Reference, build_reference
 from .rlz import PhraseTable, ReferenceMatcher, TrajectoryLog, build_log
 
 
@@ -175,6 +175,11 @@ def validate_trajectories(trajectories: Iterable[Trajectory]) -> list[Trajectory
     return trajs
 
 
+def _largest_step(reference: Reference) -> int:
+    """The largest |dx| or |dy| of one movement; the reference holds every symbol of its dataset."""
+    return max((max(abs(dx), abs(dy)) for dx, dy in reference.alphabet), default=0)
+
+
 class RCTIndex:
     """Compressed index over moving-object trajectories.
 
@@ -236,18 +241,12 @@ class RCTIndex:
 
         max_x = max(x for tr in trajs for x, _ in tr.positions)
         max_y = max(y for tr in trajs for _, y in tr.positions)
-        speed = 0
-        sequences = []
-        for tr in trajs:
-            seq = [
-                (x1 - x0, y1 - y0)
-                for (x0, y0), (x1, y1) in zip(tr.positions, tr.positions[1:])
-            ]
-            for dx, dy in seq:
-                speed = max(speed, abs(dx), abs(dy))
-            sequences.append(seq)
-
-        reference = build_reference(sequences, frac, self.block_length)
+        # one object's movements at a time: build_reference reads each list once
+        reference = build_reference(
+            ([(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(tr.positions, tr.positions[1:])] for tr in trajs),
+            frac,
+            self.block_length,
+        )
         matcher = ReferenceMatcher(reference.ids)
         phrases = PhraseTable()
         logs = {
@@ -272,7 +271,7 @@ class RCTIndex:
             build_snapshot(points[q], (max_x, max_y), self.k, q * self.period) for q in sorted(points)
         ]
 
-        self._adopt((max_x, max_y), speed, t_max, reference, phrases, logs, snapshots, appearances)
+        self._adopt((max_x, max_y), _largest_step(reference), t_max, reference, phrases, logs, snapshots, appearances)
         return self
 
     def _adopt(self, grid, max_speed, t_max, reference, phrases, logs, snapshots, appearances) -> None:
@@ -331,16 +330,14 @@ class RCTIndex:
         ref = self.reference_
         t0 = log.start_time
         off, stop = a - t0, b - t0
-        x, y = log.position_at(ref, off)
-        out = [(a, x, y)]
-        while off < stop:  # one phrase per round
-            j, rs = log.locate(off + 1)
-            for off in range(off + 1, min(stop, log.phrase_last(j)) + 1):
-                dx, dy = ref.step(rs)
-                x += dx
-                y += dy
-                rs += 1
-                out.append((t0 + off, x, y))
+        out = [(a, *log.position_at(ref, off))]
+        if off < stop:
+            cum_x, cum_y = ref.cum_x, ref.cum_y
+            for _, first, last, s, dx, dy in log.walk(ref, off + 1, stop):
+                # a plain loop: phrases average about ten steps, too few to repay a zip of slices
+                for t in range(t0 + first, t0 + last + 1):
+                    out.append((t, dx + cum_x[s], dy + cum_y[s]))
+                    s += 1
         return out
 
     def _slice_candidates(self, region: Region, t: int) -> set[int]:
@@ -408,46 +405,28 @@ class RCTIndex:
             ta = 1
             if ta > tb:
                 return False
-        return self._check_phrases(log, region, ta, tb, log.phrase_of(ta), log.phrase_of(tb))
-
-    def _check_phrases(self, log: TrajectoryLog, region: Region, ta: int, tb: int, ws: int, we: int) -> bool:
-        """Whether the object is inside `region` at some movement offset of [ta, tb].
-
-        Halves phrases ws..we under their bounding box.  Every phrase of the
-        range holds an offset of [ta, tb], so a box the region covers or
-        misses decides the answer; a single phrase it cannot decide is
-        clipped to [ta, tb] and searched on the reference.
-        """
-        box = log.phrase_box(ws, we)
+        box = log.phrase_box(log.phrase_of(ta), log.phrase_of(tb))
+        # every phrase of the box holds an offset of [ta, tb], so a box the
+        # region covers or misses decides; so does each phrase's own box
         if region.covers(box):
             return True
         if region.disjoint(box):
             return False
-        if ws < we:
-            mid = (ws + we) // 2
-            return self._check_phrases(log, region, ta, tb, ws, mid) or self._check_phrases(
-                log, region, ta, tb, mid + 1, we
-            )
-        lo, hi = max(ta, log.phrase_first(ws)), min(tb, log.phrase_last(ws))
-        _, ri = log.locate(lo)
-        return self._check_reference(region, log.position_at(self.reference_, lo - 1), ri, ri + hi - lo)
-
-    def _check_reference(self, region: Region, base: tuple[int, int], ri: int, rj: int) -> bool:
-        """Binary search over reference steps [ri, rj]; `base` is the position at step ri-1."""
-        rel = self.reference_.mbb(ri, rj)
-        bx, by = base
-        box = (bx + rel.x_min, by + rel.y_min, bx + rel.x_max, by + rel.y_max)
-        if region.covers(box):
-            return True
-        if region.disjoint(box) or ri == rj:
-            # a single step's box is its exact position, so intersection
-            # implies containment; reaching here means it missed
-            return False
-        mid = (ri + rj) // 2
-        if self._check_reference(region, base, ri, mid):
-            return True
-        dx, dy = self.reference_.movement(ri - 1, mid)
-        return self._check_reference(region, (bx + dx, by + dy), mid + 1, rj)
+        table, ref = log.table, self.reference_
+        x1, y1, x2, y2 = region
+        for row, first, last, s, dx, dy in log.walk(ref, ta, tb):
+            box = (table.x_min[row], table.y_min[row], table.x_max[row], table.y_max[row])
+            if region.disjoint(box):
+                continue
+            if region.covers(box):
+                return True
+            e = s + last - first + 1
+            # the region moved by -(dx, dy), against the reference's cumulative steps
+            lx, ly, hx, hy = x1 - dx, y1 - dy, x2 - dx, y2 - dy
+            for x, y in zip(ref.cum_x[s:e], ref.cum_y[s:e]):
+                if lx <= x <= hx and ly <= y <= hy:
+                    return True
+        return False
 
     # -- persistence ----------------------------------------------------------
 

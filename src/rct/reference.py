@@ -34,14 +34,15 @@ def _unary_view(plane: int, doc: str) -> property:
 
 
 class Reference:
-    """Artificial movement sequence plus the overlays answering movement and mbb.
+    """Artificial movement sequence plus its cumulative displacement columns.
 
     `cum_x[t]`/`cum_y[t]` are the cumulative displacement after the first t
     steps (`cum[0] = 0`), so `movement` is four lookups, and `mbb` is the
     minimum and maximum of each axis's cumulative run over its steps,
-    minus `cum[i-1]`.  The paper's unary bitmaps `x_pos`, `x_neg`, `y_pos`
-    and `y_neg` (per step, its magnitude on that axis and sign in zeros,
-    then a 1) are derived on first access; no query reads them.
+    minus `cum[i-1]`.  Queries read runs of these columns directly (see
+    `TrajectoryLog.walk`).  The paper's unary bitmaps `x_pos`, `x_neg`,
+    `y_pos` and `y_neg` (per step, its magnitude on that axis and sign in
+    zeros, then a 1) are derived on first access; no query reads them.
     """
 
     __slots__ = (
@@ -97,8 +98,8 @@ class Reference:
     def mbb(self, i: int, j: int) -> RelativeMBB:
         """Per-axis extrema of movement(i-1, t) over t in [i..j].
 
-        A scan of cumulative rows i..j, so O(j - i): the index asks only
-        for steps of one phrase, clipped to the query's time span.
+        A scan of cumulative rows i..j, so O(j - i).  The index's queries
+        do not call it: they test positions on the cumulative rows themselves.
         """
         if not 1 <= i <= j <= len(self.ids):
             raise ValueError(f"invalid mbb range ({i}, {j}) for reference of length {len(self.ids)}")
@@ -139,16 +140,15 @@ def build_reference(
     of popular blocks stay contiguous.  Finally any dataset symbol still
     missing is appended, so every sequence can be parsed.
     """
-    sequences = list(dataset)
-    if not sequences:
-        raise ValueError("cannot build a reference from an empty dataset")
     if block_length < 1:
         raise ValueError("block_length must be positive")
     counts: dict[tuple, int] = {}
     first_seen: dict[tuple, int] = {}
     alphabet: set[MovementSymbol] = set()
     total = 0
-    for seq in sequences:
+    empty = True
+    for seq in dataset:
+        empty = False
         total += len(seq)
         alphabet.update(seq)
         for off in range(0, len(seq), block_length):
@@ -157,6 +157,8 @@ def build_reference(
                 counts[block] = 0
                 first_seen[block] = len(first_seen)
             counts[block] += 1
+    if empty:
+        raise ValueError("cannot build a reference from an empty dataset")
     num, den = ref_fraction.numerator, ref_fraction.denominator
     target = -(-total * num // den)  # ceil
     chosen: list[tuple] = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .reference import Reference
 from .rmq import compact
@@ -127,7 +127,8 @@ class PhraseTable:
     `x_min[k]`..`y_max[k]` the bounding box of the positions reached during
     it.  Rows are appended while logs are built; `seal()` then narrows
     every column to its compact typecode.  `box` scans the extrema columns
-    over its rows, O(b - a): a query asks only for phrases of its time span.
+    over its rows, O(b - a); a time-interval query asks for it once per
+    candidate, over the phrases of its time span, then reads single rows.
     """
 
     COLUMNS = ("starts", "firsts", "prev_x", "prev_y", "x_min", "y_min", "x_max", "y_max")
@@ -221,23 +222,36 @@ class TrajectoryLog:
             return self.move_count
         return self.table.firsts[self.base + j] - 1
 
-    def locate(self, offset: int) -> tuple[int, int]:
-        """(j, step): movement `offset` lies in phrase j and copies reference step `step`.
-
-        1 <= offset <= move_count; j and step are 1-based.
-        """
-        j = self.phrase_of(offset)
-        row = self.base + j - 1
-        return j, self.table.starts[row] + offset - self.table.firsts[row]
-
     def position_at(self, reference: Reference, offset: int) -> tuple[int, int]:
         """Absolute position after `offset` movements, 0 <= offset <= move_count."""
         if offset == 0:
             return self.start_pos
-        j, step = self.locate(offset)
-        row = self.base + j - 1
-        dx, dy = reference.movement(self.table.starts[row] - 1, step)
-        return (self.table.prev_x[row] + dx, self.table.prev_y[row] + dy)
+        table = self.table
+        row = self.base + self.phrase_of(offset) - 1
+        start = table.starts[row]
+        dx, dy = reference.movement(start - 1, start + offset - table.firsts[row])
+        return (table.prev_x[row] + dx, table.prev_y[row] + dy)
+
+    def walk(self, reference: Reference, lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """(row, first, last, step, dx, dy) for each phrase meeting movement offsets lo..hi.
+
+        1 <= lo <= hi <= move_count.  `row` is the phrase's row of `table`,
+        first..last its offsets clipped to lo..hi, and `step` the reference
+        step that offset `first` copies; the position after each of those
+        offsets is (dx + cum_x[t], dy + cum_y[t]) for t in step..step + last - first.
+        """
+        table = self.table
+        starts, firsts, prev_x, prev_y = table.starts, table.firsts, table.prev_x, table.prev_y
+        cum_x, cum_y = reference.cum_x, reference.cum_y
+        row = self.base + self.phrase_of(lo) - 1
+        end = self.base + self.phrase_count - 1  # the log's last row
+        while lo <= hi:
+            start = starts[row]
+            last = firsts[row + 1] - 1 if row < end else self.move_count
+            dx, dy = prev_x[row] - cum_x[start - 1], prev_y[row] - cum_y[start - 1]
+            yield row, lo, min(last, hi), start + lo - firsts[row], dx, dy
+            lo = last + 1
+            row += 1
 
     def phrase_box(self, ws: int, we: int) -> tuple[int, int, int, int]:
         """Bounding box of all positions reached during phrases ws..we (1-based)."""

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from .bitvec import BitVector
-from .index import RCTIndex, _as_fraction
+from .index import RCTIndex, _as_fraction, _largest_step
 from .k2tree import Snapshot, grid_side
 from .reference import Reference
 from .rlz import PhraseTable, TrajectoryLog
@@ -175,11 +175,18 @@ def _decode(data: bytes) -> RCTIndex:
     max_x, max_y, max_speed = r.unpack("<QQQ")
     dxs, dys = r.columns(2)
     reference = Reference.from_parts(list(zip(dxs, dys)), r.column())
+    speed = _largest_step(reference)
+    if max_speed != speed:
+        raise IndexFormatError(f"max speed {max_speed} is not the reference's largest step {speed}")
 
     object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts = r.columns(6)
     phrases = PhraseTable(r.columns(len(PhraseTable.COLUMNS)))
     if len(phrases) != sum(phrase_counts):
         raise IndexFormatError(f"{len(phrases)} phrase rows for {sum(phrase_counts)} phrases")
+    # every position is a start or lies in a phrase's box
+    grid = (max(chain(start_xs, phrases.x_max), default=0), max(chain(start_ys, phrases.y_max), default=0))
+    if (max_x, max_y) != grid:
+        raise IndexFormatError(f"grid {max_x} x {max_y} is not the positions' extent {grid[0]} x {grid[1]}")
     logs = {}
     base = 0
     for oid, t0, x0, y0, n, z in zip(object_ids, start_times, start_xs, start_ys, move_counts, phrase_counts):

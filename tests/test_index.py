@@ -122,6 +122,14 @@ def test_candidate_completeness():
             assert reported <= idx._slice_candidates(region, t)
 
 
+def _check_hits(idx, tr, region, a, b):
+    expected = any(
+        region.contains(*tr.positions[t - tr.start_time])
+        for t in range(max(a, tr.start_time), min(b, tr.end_time) + 1)
+    )
+    assert idx._hits_region_during(idx.logs_[tr.object_id], region, a, b) == expected, (region, a, b)
+
+
 def test_candidate_verification_matches_scan():
     rng = random.Random(23)
     for _ in range(15):
@@ -129,20 +137,12 @@ def test_candidate_verification_matches_scan():
         idx = RCTIndex(period=8).fit(trajs)
         for tr in trajs:
             log = idx.logs_[tr.object_id]
-
-            def check(region, a, b):
-                expected = any(
-                    region.contains(*tr.positions[t - tr.start_time])
-                    for t in range(max(a, tr.start_time), min(b, tr.end_time) + 1)
-                )
-                assert idx._hits_region_during(log, region, a, b) == expected, (region, a, b)
-
             for _ in range(25):
                 region = random_region(rng, (127, 127), tight=rng.random() < 0.5)
                 a = rng.randint(0, idx.t_max_)
-                check(region, a, rng.randint(a, idx.t_max_))
+                _check_hits(idx, tr, region, a, rng.randint(a, idx.t_max_))
             # one-cell regions on visited positions, and spans ending on either side of
-            # a phrase boundary, so that the descent ends in a phrase clipped to the span
+            # a phrase boundary, so that the walk starts or ends in a clipped phrase
             for j in rng.sample(range(1, log.phrase_count + 1), min(6, log.phrase_count)):
                 first, last = log.phrase_first(j), log.phrase_last(j)
                 ends = sorted({tr.start_time + t for t in (first - 1, first, last, last + 1)})
@@ -152,7 +152,22 @@ def test_candidate_verification_matches_scan():
                     for a in ends + [t - 1, t, t + 1]:
                         for b in ends + [t - 1, t, t + 1]:
                             if a <= b:
-                                check(region, a, b)
+                                _check_hits(idx, tr, region, a, b)
+    # one phrase of 2000 steps along an L: regions in the corner that its box holds but
+    # its path misses, regions across the path, and spans clipped inside the phrase
+    tr = Trajectory(5, 3, [(4 + x, 6) for x in range(1000)] + [(1003, 7 + y) for y in range(1001)])
+    idx = RCTIndex(period=64, ref_fraction=1, block_length=len(tr.positions)).fit([tr])
+    assert idx.logs_[5].phrase_count == 1 and idx.logs_[5].phrase_box(1, 1) == (5, 6, 1003, 1007)
+    regions = [Region(4, 7, 1002, 1007), Region(500, 500, 1002, 1007), Region(5, 7, 5, 7), Region(1002, 7, 1002, 7)]
+    for _ in range(60):
+        x1, y1 = rng.randint(0, 1010), rng.randint(0, 1010)
+        regions.append(Region(x1, y1, x1 + rng.randint(0, 40), y1 + rng.randint(0, 40)))
+    for region in regions:
+        for _ in range(8):
+            a = rng.randint(0, tr.end_time + 2)
+            _check_hits(idx, tr, region, a, rng.randint(a, tr.end_time + 2))
+        for a, b in [(0, tr.end_time), (3, 4), (4, 1002), (1002, 1003), (1003, 2003), (2002, 2002)]:
+            _check_hits(idx, tr, region, a, b)
 
 
 QUERY_MIX = ("search", "trajectory", "slice", "interval")

@@ -175,6 +175,18 @@ def test_build_reference_single_symbol():
 def test_build_reference_empty_dataset_rejected():
     with pytest.raises(ValueError):
         build_reference([])
+    with pytest.raises(ValueError):
+        build_reference(iter([]))
+
+
+def test_build_reference_reads_a_generator_once():
+    rng = random.Random(33)
+    dataset = [random_symbols(rng, rng.randint(0, 60)) for _ in range(20)]
+    for frac, block in [(Fraction(1, 10), 8), (Fraction(1, 3), 4), (Fraction(1), 100)]:
+        expected = build_reference(dataset, frac, block)
+        got = build_reference((list(seq) for seq in dataset), frac, block)
+        assert got.alphabet == expected.alphabet
+        assert list(got.ids) == list(expected.ids)
 
 
 def test_extrema_index_no_marks_on_monotone_axis():

@@ -214,3 +214,14 @@ def test_logs_sharing_one_table_stay_within_their_rows():
                 reached = walk[log.phrase_first(ws) : log.phrase_last(we) + 1]
                 xs, ys = [x for x, _ in reached], [y for _, y in reached]
                 assert log.phrase_box(ws, we) == (min(xs), min(ys), max(xs), max(ys))
+        rows = range(log.base, log.base + log.phrase_count)
+        for lo in range(1, log.move_count + 1):
+            for hi in range(lo, log.move_count + 1):
+                positions, at = [], lo
+                for row, first, last, step, dx, dy in log.walk(ref, lo, hi):
+                    assert row in rows and first == at and first <= last <= hi
+                    assert phrase_at[first] == phrase_at[last] == row - log.base + 1
+                    steps = range(step, step + last - first + 1)
+                    positions += [(dx + ref.cum_x[t], dy + ref.cum_y[t]) for t in steps]
+                    at = last + 1
+                assert at == hi + 1 and positions == walk[lo : hi + 1]

@@ -249,11 +249,19 @@ def _phrase_runs_past_reference(idx):
     idx.phrases_.starts = starts
 
 
+def _speed_zero(idx):
+    idx.max_speed_ = 0  # the snapshot filter would then miss every object that moved since its snapshot
+
+
+def _grid_shrunk(idx):
+    idx.grid_ = (idx.grid_[0] - 1, idx.grid_[1] - 1)
+
+
 @pytest.mark.parametrize(
     "craft",
     [_cut_bitmap, _padded_bitmap, _drop_cell_id, _unknown_cell_id, _unknown_appearance_id, _run_start_moved,
      _start_past_reference, _start_zero, _first_phrase_not_at_one, _last_phrase_past_moves,
-     _repeated_first, _firsts_swapped, _phrase_runs_past_reference],
+     _repeated_first, _firsts_swapped, _phrase_runs_past_reference, _speed_zero, _grid_shrunk],
 )
 def test_crafted_files_are_rejected(craft, tmp_path, capsys):
     # each file is well formed, with a matching checksum, but its parts do not fit together
@@ -261,6 +269,7 @@ def test_crafted_files_are_rejected(craft, tmp_path, capsys):
     trajs = [Trajectory(oid, rng.choice([0, 3, 5]), [(rng.randint(0, 40), rng.randint(0, 40))] * 30)
              for oid in range(12)]
     trajs.append(Trajectory(12, 0, list(trajs[0].positions)))  # shares a cell with object 0
+    trajs.append(Trajectory(13, 2, [(x, 7) for x in range(30)]))  # moves, so max speed is 1
     idx = RCTIndex(period=4).fit(trajs)
     craft(idx)
     path = tmp_path / "crafted.rct"
