@@ -72,6 +72,18 @@ class BitVector:
             return self._cum[w]
         return self._cum[w] + (self._words[w] & ((1 << r) - 1)).bit_count()
 
+    def chunk(self, i: int, width: int) -> int:
+        """Positions i+1 .. i+width as an int whose bit j is position i+1+j."""
+        if not (0 <= i and 0 <= width and i + width <= self._n):
+            raise ValueError(f"chunk of {width} bits after position {i} out of range [1, {self._n}]")
+        w, r = divmod(i, _WORD)
+        end = -(-(r + width) // _WORD)  # words the chunk touches, from word w
+        if end == 1:  # one word, as for most k2-tree nodes: no pack needed
+            value = self._words[w]
+        else:
+            value = int.from_bytes(struct.pack(f"<{end}Q", *self._words[w : w + end]), "little")
+        return (value >> r) & ((1 << width) - 1)
+
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
 

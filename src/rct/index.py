@@ -351,7 +351,10 @@ class RCTIndex:
         found = set(self.appearances_.get(q, ()))
         snapshot = self._snapshot_of.get(q)
         if snapshot is not None:
-            expanded = region.expanded(self.max_speed_ * (t - q * self.period), self.grid_)
+            # clamped to the snapshot's square, not the grid: no point lies past the grid, and a
+            # grown region that covers the grid then covers the root, which is reported in one sweep
+            edge = snapshot.side - 1
+            expanded = region.expanded(self.max_speed_ * (t - q * self.period), (edge, edge))
             found.update(oid for oid, _, _ in snapshot.report_region(expanded))
         return found
 

@@ -3,10 +3,29 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, repeat
+from operator import and_, rshift
 from typing import Iterable, Sequence
 
 from .bitvec import BitVector
 from .rmq import compact
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # a "0"/"1" string's bytes as bytes 0/1
+
+
+def _set_bits(value: int, width: int) -> list[int]:
+    """Offsets of the set bits of a `width`-bit value, in increasing order."""
+    # peeling costs a few int operations per set bit, the digit pass a few per bit plus a fixed
+    # part: the first is quicker up to a word (cut nodes and small covered subtrees), the second above
+    if width <= 64:  # a word: peel off the lowest set bit
+        out = []
+        while value:
+            low = value & -value
+            out.append(low.bit_length() - 1)
+            value ^= low
+        return out
+    # longer: one pass over its digits, lowest first
+    return list(compress(range(width), bin(value | 1 << width)[:2:-1].encode().translate(_ZERO_ONE)))
 
 
 class Snapshot:
@@ -38,17 +57,13 @@ class Snapshot:
         self.run_starts = run_starts
         self.cell_ids = cell_ids
 
-    def _ids_at(self, ordinal: int) -> Sequence[int]:
-        """Ids of the `ordinal`-th occupied cell (1-based, traversal order)."""
-        start = self.run_starts.select1(ordinal) - 1
-        if ordinal < self.run_starts.ones:
-            end = self.run_starts.select1(ordinal + 1) - 1
-        else:
-            end = len(self.cell_ids)
-        return self.cell_ids[start:end]
-
     def report_region(self, region) -> set[tuple[int, int, int]]:
-        """All (object_id, x, y) with x1 <= x <= x2 and y1 <= y <= y2."""
+        """All (object_id, x, y) with x1 <= x <= x2 and y1 <= y <= y2.
+
+        A node the region covers, the root included, is reported whole by
+        `_sweep`; a node it cuts reads its k^2 child bits with one chunk and
+        ranks its children with one rank1.
+        """
         x1, y1, x2, y2 = region
         if x1 > x2 or y1 > y2:
             raise ValueError(f"malformed region {region!r}")
@@ -58,30 +73,77 @@ class Snapshot:
         if x1 > x2 or y1 > y2:
             return out
         k, bits = self.k, self.bits
+        kk = k * k
         # rank1 of a cell's bit minus this is the cell's ordinal
-        above_cells = len(bits) // (k * k) - 1
-        # stack entries: (first child bit position, cell origin, node size)
+        above_cells = len(bits) // kk - 1
+        # stack entries: (bits before the node's children, node origin, node size)
         stack = [(0, 0, 0, self.side)]
         while stack:
             base, ox, oy, size = stack.pop()
+            if x1 <= ox and ox + size <= x2 + 1 and y1 <= oy and oy + size <= y2 + 1:
+                self._sweep(base, ox, oy, size, out)
+                continue
             sub = size // k
-            for r in range(k):
-                cy = oy + r * sub
-                if cy > y2 or cy + sub - 1 < y1:
+            children = bits.chunk(base, kk)
+            rank = bits.rank1(base)  # set children have consecutive ranks from one past this
+            for j in range(kk):
+                if not children >> j & 1:
                     continue
-                for c in range(k):
-                    cx = ox + c * sub
-                    if cx > x2 or cx + sub - 1 < x1:
-                        continue
-                    q = base + r * k + c + 1
-                    if not bits.access(q):
-                        continue
-                    if sub == 1:
-                        for oid in self._ids_at(bits.rank1(q) - above_cells):
-                            out.add((oid, cx, cy))
-                    else:
-                        stack.append((bits.rank1(q) * k * k, cx, cy, sub))
+                rank += 1
+                cx, cy = ox + j % k * sub, oy + j // k * sub
+                if cx > x2 or cx + sub <= x1 or cy > y2 or cy + sub <= y1:
+                    continue
+                if sub == 1:
+                    start, end = self._id_span(rank - above_cells, rank - above_cells)
+                    out.update((oid, cx, cy) for oid in self.cell_ids[start:end])
+                else:
+                    stack.append((rank * kk, cx, cy, sub))
         return out
+
+    def _sweep(self, base: int, ox: int, oy: int, size: int, out: set) -> None:
+        """Add every point under the node of side `size` at (ox, oy) whose
+        children start after bit `base`.
+
+        The set nodes of one level under it have consecutive ranks, so
+        their children are one run of bits: each level costs one chunk and
+        at most one rank1, and the cells' ids are one slice of `cell_ids`.
+        """
+        k, bits = self.k, self.bits
+        kk = k * k
+        # a node's origin packed as y << shift | x; child j of a node of side k * s lies s * unit[j] past it
+        shift = self.side.bit_length()
+        unit = [(j // k << shift) + j % k for j in range(kk)]
+        nodes = [oy << shift | ox]
+        rank = bits.rank1(base)  # ones before the level's run
+        while nodes:
+            size //= k
+            width = len(nodes) * kk
+            # bit p of the run is child p % kk of node p // kk
+            nodes = [nodes[p // kk] + unit[p % kk] * size for p in _set_bits(bits.chunk(base, width), width)]
+            if size == 1:
+                break
+            after, base = base + width, (rank + 1) * kk
+            # a run that ends where the next begins holds every one between them
+            rank = rank + len(nodes) if base == after else bits.rank1(base)
+        if not nodes:
+            return
+        first = rank + 1 - (len(bits) // kk - 1)
+        start, end = self._id_span(first, first + len(nodes) - 1)
+        if end - start > len(nodes):
+            # some cell holds several ids: repeat each cell once per id of its run
+            runs = _set_bits(self.run_starts.chunk(start, end - start), end - start) + [end - start]
+            nodes = [node for node, a, b in zip(nodes, runs, runs[1:]) for _ in range(b - a)]
+        low = (1 << shift) - 1
+        out.update(zip(self.cell_ids[start:end], map(and_, nodes, repeat(low)), map(rshift, nodes, repeat(shift))))
+
+    def _id_span(self, first: int, last: int) -> tuple[int, int]:
+        """Slice of `cell_ids` holding the ids of occupied cells first..last (1-based ordinals)."""
+        runs = self.run_starts
+        if len(runs) == runs.ones:  # one id per cell
+            return first - 1, last
+        start = runs.select1(first) - 1
+        end = runs.select1(last + 1) - 1 if last < runs.ones else len(runs)
+        return start, end
 
     def check_shape(self) -> None:
         """Raise ValueError unless the bitmaps and ids fit `side` and `k` together."""

@@ -2,13 +2,16 @@
 
 A column is its typecode (one ASCII byte: b/B, h/H, i/I or q/Q for 8-,
 16-, 32- and 64-bit signed/unsigned), its length as a u64, then its items
-raw and little-endian, so loading is one `array.frombytes` per column.
-The file ends with the CRC-32 of everything before it, as a u32.
+raw and little-endian, so a load reads each column straight into an array
+of its length.  The file ends with the CRC-32 of everything before it, as
+a u32; a load checks it first, reading the file in 64 KiB pieces, then
+decodes the sections in order, and never holds the whole file in memory.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
 import sys
 import zlib
@@ -32,6 +35,7 @@ _HEAD = struct.Struct("<4sH")
 _CRC = struct.Struct("<I")
 _TYPECODES = frozenset("bBhHiIqQ")
 _BIG_ENDIAN = sys.byteorder == "big"
+_PIECE = 1 << 16  # bytes read at a time for the checksum
 
 
 class IndexFormatError(Exception):
@@ -49,18 +53,20 @@ def _write_column(out: bytearray, values) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.at = 0
+    """The sections of an open index file, read in order up to its trailer at `end`."""
 
-    def take(self, size: int) -> memoryview:
-        """The next `size` bytes; a file that ends sooner is truncated."""
-        end = self.at + size
-        if end > len(self.data):
+    def __init__(self, fh, at: int, end: int):
+        self.fh, self.at, self.end = fh, at, end
+
+    def claim(self, size: int) -> None:
+        """Count the next `size` bytes as read; a file that ends sooner is truncated."""
+        if self.at + size > self.end:
             raise IndexFormatError(f"truncated index file: {size} bytes wanted at offset {self.at}")
-        chunk = self.data[self.at : end]
-        self.at = end
-        return chunk
+        self.at += size
+
+    def take(self, size: int) -> bytes:
+        self.claim(size)
+        return self.fh.read(size)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -69,8 +75,12 @@ class _Reader:
         code = chr(self.take(1)[0])
         if code not in _TYPECODES:
             raise IndexFormatError(f"unknown column typecode {code!r} at offset {self.at - 1}")
-        column = array(code)
-        column.frombytes(self.take(self.unpack("<Q")[0] * column.itemsize))
+        (n,) = self.unpack("<Q")
+        zero = bytes(array(code).itemsize)
+        self.claim(n * len(zero))  # before the column is allocated
+        column = array(code, zero) * n
+        if self.fh.readinto(column) != n * len(zero):
+            raise IndexFormatError(f"truncated index file: it ended inside the column before offset {self.at}")
         if _BIG_ENDIAN:
             column.byteswap()
         return column
@@ -83,8 +93,8 @@ class _Reader:
         return out
 
     def bitvector(self) -> BitVector:
-        bv, self.at = BitVector.from_bytes(self.data, self.at)
-        return bv
+        head = self.take(8)
+        return BitVector.from_bytes(head + self.take(8 * -(-struct.unpack("<Q", head)[0] // 64)))[0]
 
 
 # -- whole files --------------------------------------------------------------
@@ -146,29 +156,38 @@ def load_index(source: Union[str, Path, io.BufferedIOBase]) -> RCTIndex:
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            data = fh.read()
+            if fh.seekable():
+                return _load(fh, os.fstat(fh.fileno()).st_size)
+            data = fh.read()  # a pipe, whose length is known only at its end
     else:
         data = source.read()
-    if data[:4] != MAGIC:
-        raise IndexFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+    return _load(io.BytesIO(data), len(data))
+
+
+def _load(fh, size: int) -> RCTIndex:
+    """Check the `size`-byte index file open at its start as `fh`, then decode it."""
+    head = fh.read(_HEAD.size)
+    if head[:4] != MAGIC:
+        raise IndexFormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
     try:
-        return _decode(data)
+        # the version comes first, so that older files are told to rebuild, not that they are damaged
+        _, version = _HEAD.unpack(head)
+        if version != VERSION:
+            raise IndexFormatError(
+                f"unsupported index version {version}; this build reads version {VERSION}, rebuild the index"
+            )
+        crc = zlib.crc32(head)
+        for at in range(_HEAD.size, size - _CRC.size, _PIECE):
+            crc = zlib.crc32(fh.read(min(_PIECE, size - _CRC.size - at)), crc)
+        if fh.read() != _CRC.pack(crc):  # what is left must be the trailer
+            raise IndexFormatError("index file checksum mismatch: the file is damaged or truncated")
+        fh.seek(_HEAD.size)
+        return _decode(_Reader(fh, _HEAD.size, size - _CRC.size))
     except (struct.error, ValueError, IndexError, OverflowError) as exc:
         raise IndexFormatError(f"corrupt index file: {exc}") from exc
 
 
-def _decode(data: bytes) -> RCTIndex:
-    # the version comes first, so that older files are told to rebuild, not that they are damaged
-    _, version = _HEAD.unpack_from(data)
-    if version != VERSION:
-        raise IndexFormatError(
-            f"unsupported index version {version}; this build reads version {VERSION}, rebuild the index"
-        )
-    body = memoryview(data)[: -_CRC.size]
-    if zlib.crc32(body) != _CRC.unpack_from(data, len(body))[0]:
-        raise IndexFormatError("index file checksum mismatch: the file is damaged or truncated")
-    r = _Reader(body)
-    r.take(_HEAD.size)
+def _decode(r: _Reader) -> RCTIndex:
     period, k, num, den, block_length = r.unpack("<IIQQI")
     if den == 0 or period < 1 or k < 2:
         raise IndexFormatError("corrupt configuration block")
@@ -214,8 +233,8 @@ def _decode(data: bytes) -> RCTIndex:
     for q, size in zip(periods, lengths):
         appearances[q] = ids[at : at + size].tolist()
         at += size
-    if r.at != len(r.data):
-        raise IndexFormatError(f"{len(r.data) - r.at} unread bytes after the last section")
+    if r.at != r.end:
+        raise IndexFormatError(f"{r.end - r.at} unread bytes after the last section")
 
     index = RCTIndex(period=period, k=k, ref_fraction=Fraction(num, den), block_length=block_length)
     t_max = max((log.end_time for log in logs.values()), default=0)

@@ -43,6 +43,24 @@ def test_select_examples():
         bv.select1(4)
 
 
+def test_chunk_matches_the_bits():
+    rng = random.Random(12)
+    for n in (0, 1, 63, 64, 65, 130, 300, 1000):
+        text = "".join(rng.choice("0001") for _ in range(n))
+        bv = BitVector(text)
+        spots = [(i, w) for i in range(n + 1) for w in (0, 1, 4, 9, 16, 63, 64, 65, 200) if i + w <= n]
+        for i, w in spots + [(0, n)]:
+            assert bv.chunk(i, w) == int(text[i : i + w][::-1] or "0", 2), (n, i, w)
+
+
+def test_chunk_out_of_range():
+    bv = BitVector("0010111")
+    assert bv.chunk(7, 0) == 0
+    for i, w in ((-1, 2), (6, 2), (0, 8), (3, -1)):
+        with pytest.raises(ValueError):
+            bv.chunk(i, w)
+
+
 def test_empty():
     bv = BitVector("")
     assert len(bv) == 0

@@ -14,6 +14,11 @@ def naive_filter(points, region):
 def test_empty_snapshot():
     sn = build_snapshot([], (100, 100))
     assert sn.report_region(Region(0, 0, 100, 100)) == set()
+    for k in (2, 3, 4):
+        sn = build_snapshot([], (50, 70), k=k)
+        for snapshot in (sn, roundtrip(sn)):
+            for region in _subtree_regions(random.Random(k), sn.side, k):
+                assert snapshot.report_region(region) == set()
 
 
 def test_single_point_universe_query():
@@ -66,7 +71,7 @@ def roundtrip(sn):
     return back
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_against_naive_filter(k):
     rng = random.Random(k * 17)
     # grids up to 300, then grids of side k, whose root children are cells already
@@ -115,3 +120,58 @@ def test_monotone_and_partition_properties():
     merged = [hit for q in quads for hit in sn.report_region(q)]
     assert len(merged) == len(points)
     assert set(merged) == {tuple(p) for p in points}
+
+
+def _subtree_regions(rng, side, k):
+    """The whole root, regions past the square, and regions of exactly one node's square."""
+    yield Region(0, 0, side - 1, side - 1)
+    yield Region(-3, -2, side + 5, side)
+    yield Region(rng.randrange(side), rng.randrange(side), side + rng.randint(0, 9), side + rng.randint(0, 9))
+    size = side
+    while size > 1:
+        size //= k
+        ox, oy = rng.randrange(side // size) * size, rng.randrange(side // size) * size
+        yield Region(ox, oy, ox + size - 1, oy + size - 1)
+        yield Region(ox, oy, ox + size, oy + size - 1)  # one column past it
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_covered_subtrees_against_naive_filter(k):
+    # regions that cover whole nodes take the level sweep; shared cells split one id slice
+    rng = random.Random(k * 31)
+    for trial in range(60):
+        max_x, max_y = rng.randint(0, 200), rng.randint(0, 200)
+        cells = [(rng.randint(0, max_x), rng.randint(0, max_y)) for _ in range(rng.randint(0, 40))]
+        # up to four ids per cell, some crowded into one corner so their subtree is small
+        points = [(oid, *rng.choice(cells)) for oid in range(rng.randint(0, 80))] if cells else []
+        points += [(1000 + oid, rng.randint(0, min(2, max_x)), rng.randint(0, min(2, max_y)))
+                   for oid in range(trial % 4)]
+        sn = build_snapshot(points, (max_x, max_y), k=k)
+        back = roundtrip(sn)
+        for region in _subtree_regions(rng, sn.side, k):
+            expected = naive_filter(points, region)
+            assert sn.report_region(region) == expected
+            assert back.report_region(region) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_covered_root_reads_no_single_bits(k, monkeypatch):
+    # a region over the whole root is one level sweep: no access, at most one rank1 per level
+    rng = random.Random(k)
+    points = [(oid, rng.randint(0, 99), rng.randint(0, 99)) for oid in range(300)]
+    sn = build_snapshot(points, (99, 99), k=k)
+    calls = {"access": 0, "rank1": 0}
+    for name in calls:
+        method = getattr(BitVector, name)
+
+        def counted(self, i, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, i)
+
+        monkeypatch.setattr(BitVector, name, counted)
+    assert sn.report_region(Region(0, 0, sn.side - 1, sn.side - 1)) == naive_filter(points, Region(0, 0, 99, 99))
+    levels = 0
+    while k**levels < sn.side:
+        levels += 1
+    assert calls["access"] == 0
+    assert calls["rank1"] <= levels

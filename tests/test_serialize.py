@@ -1,10 +1,13 @@
+import gc
 import io
 import random
+import tracemalloc
+import zlib
 from array import array
 
 import pytest
 
-from helpers import make_dataset, random_region
+from helpers import make_dataset, random_region, random_walk
 from rct import BitVector, RangeExtremumIndex, RCTIndex, Trajectory, load_index, save_index
 from rct.cli import main
 from rct.serialize import IndexFormatError
@@ -47,6 +50,68 @@ def test_roundtrip_via_file(tmp_path):
     back = RCTIndex.load(path)
     for oid in idx.logs_:
         assert back.trajectory(oid, 0, idx.t_max_) == idx.trajectory(oid, 0, idx.t_max_)
+
+
+@pytest.fixture(scope="module")
+def walks():
+    """An index of 26 random walks whose file, over 256 KiB, is longer than one piece."""
+    rng = random.Random(66)
+    trajs = [Trajectory(oid, rng.randint(0, 50), random_walk(rng, 1300, (999, 999), speed=3)) for oid in range(26)]
+    idx = RCTIndex().fit(trajs)
+    buf = io.BytesIO()
+    save_index(idx, buf)
+    return idx, buf.getvalue()
+
+
+def test_load_holds_little_of_the_file(walks, tmp_path):
+    # the checksum is read in pieces and each column straight into its array,
+    # so a load holds little of the file besides the index it builds
+    idx, data = walks
+    path = tmp_path / "walks.rct"
+    path.write_bytes(data)
+    assert len(data) >= 256 * 1024
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = load_index(path)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live < len(data) / 3
+    from_buffer = load_index(io.BytesIO(data))
+    rng = random.Random(67)
+    for _ in range(40):
+        region = random_region(rng, idx.grid_)
+        t = rng.randint(0, idx.t_max_)
+        b = min(t + rng.randint(0, 40), idx.t_max_)
+        oid = rng.randrange(26)
+        for loaded in (back, from_buffer):
+            assert loaded.time_slice(region, t) == idx.time_slice(region, t)
+            assert loaded.time_interval(region, t, b) == idx.time_interval(region, t, b)
+            assert loaded.trajectory(oid, t, b) == idx.trajectory(oid, t, b)
+
+
+def test_long_file_damage_is_rejected(walks, tmp_path):
+    # a file longer than one piece is checked and decoded in passes over the file
+    _, data = walks
+    path = tmp_path / "damaged.rct"
+    for cut in (5, 100, 65536, 65541, 70000, len(data) - 5, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+    for at in (3, 70000, len(data) - 2):
+        damaged = bytearray(data)
+        damaged[at] ^= 0x10
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+    # a column length past the end of the file, under a matching checksum, fails before allocating
+    crafted = bytearray(data[:-4])
+    crafted[59:67] = (1 << 40).to_bytes(8, "little")  # the alphabet's dx column
+    crafted += zlib.crc32(crafted).to_bytes(4, "little")
+    path.write_bytes(bytes(crafted))
+    with pytest.raises(IndexFormatError, match="truncated"):
+        load_index(path)
 
 
 def test_bad_magic_rejected(tmp_path):
